@@ -114,8 +114,8 @@ def _nat_pow(n: Natural, m: Natural, budget: Optional[EvalBudget]) -> Natural:
         if m * n.bit_length() > 2 * budget.max_bits:
             raise BudgetExceeded(f"{n}^{m} exceeds the bit budget")
     result = n**m
-    if budget is not None and result.bit_length() > budget.max_bits:
-        raise BudgetExceeded(f"{n}^{m} exceeds the bit budget")
+    if budget is not None:
+        budget.check_bits(result.bit_length())
     return result
 
 

@@ -1,13 +1,19 @@
-"""Evaluation budgets.
+"""Evaluation budgets and the meter that enforces them.
 
-Every potentially expensive evaluation takes an EvalBudget.  The budget is
-plain immutable data; the evaluators themselves keep the counters.
+Every potentially expensive evaluation takes an EvalBudget, plain
+immutable data.  Each refusal rule is written here once: the bits rule
+is EvalBudget.check_bits, and a Meter holds the work counter of one
+evaluation and applies the depth, work and size caps to it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Callable
+
+from .errors import BudgetExceeded
+from .ordinal import Ordinal, check_natural, coefficient_bits
 
 ENV_BITS = "TRANSFINITE_BUDGET_BITS"
 
@@ -38,13 +44,16 @@ class EvalBudget:
 
     def __post_init__(self):
         for name in ("max_depth", "max_bits", "sup_samples"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            check_natural(getattr(self, name), name, 1)
 
     @property
     def max_work(self) -> int:
         return self.max_depth * WORK_PER_DEPTH
+
+    def check_bits(self, bits: int) -> None:
+        """Refuse a natural that is `bits` wide when that exceeds max_bits."""
+        if bits > self.max_bits:
+            raise BudgetExceeded(f"a {bits}-bit natural exceeds the {self.max_bits}-bit cap")
 
     @classmethod
     def from_env(cls, **overrides) -> "EvalBudget":
@@ -60,3 +69,43 @@ class EvalBudget:
             except ValueError:
                 raise ValueError(f"{ENV_BITS} must be an integer, got {raw!r}")
         return cls(**{k: v for k, v in overrides.items() if v is not None})
+
+
+class Meter:
+    """The work counter of one evaluation under one budget.
+
+    Evaluators call step() once per unit of work and check_size() on
+    each value they produce.
+    """
+
+    __slots__ = ("budget", "work")
+
+    def __init__(self, budget: EvalBudget):
+        self.budget = budget
+        self.work = 0
+
+    def step(self, depth: int) -> None:
+        self.work += 1
+        if depth > self.budget.max_depth:
+            raise BudgetExceeded(f"recursion deeper than {self.budget.max_depth}")
+        if self.work > self.budget.max_work:
+            raise BudgetExceeded(f"more than {self.budget.max_work} evaluation steps")
+
+    def check_size(self, value: Ordinal) -> None:
+        self.budget.check_bits(coefficient_bits(value))
+
+    def refunding(self, eval_at: Callable[[Ordinal], Ordinal]) -> Callable[[Ordinal], Ordinal]:
+        """eval_at, but a call the budget refuses gives its work back, so a
+        supremum that tolerates the refused sample leaves the rest of the
+        evaluation room to finish.  Completed sub-results stay memoized.
+        """
+
+        def sample(gamma: Ordinal) -> Ordinal:
+            snapshot = self.work
+            try:
+                return eval_at(gamma)
+            except BudgetExceeded:
+                self.work = snapshot
+                raise
+
+        return sample

@@ -110,7 +110,8 @@ def main(argv: Optional[list] = None) -> int:
     except OrdinalDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, RecursionError) as exc:
+        # RecursionError: the parser and eval_expr recurse on nesting depth.
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except NotRepresentable as exc:

@@ -5,7 +5,15 @@ class TransfiniteError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotRepresentable(TransfiniteError):
+class _SampledError(TransfiniteError):
+    """An error that may keep the sample run it was concluded from."""
+
+    def __init__(self, message: str, samples=None):
+        super().__init__(message)
+        self.samples = tuple(samples) if samples is not None else None
+
+
+class NotRepresentable(_SampledError):
     """The exact value of an expression is epsilon_0 or larger.
 
     Values at or above epsilon_0 have no Cantor normal form built from
@@ -14,25 +22,13 @@ class NotRepresentable(TransfiniteError):
     on the exception for inspection.
     """
 
-    def __init__(self, message: str, samples=None):
-        super().__init__(message)
-        self.samples = tuple(samples) if samples is not None else None
 
-
-class BudgetExceeded(TransfiniteError):
+class BudgetExceeded(_SampledError):
     """An evaluation hit its depth, bit, or work budget before finishing."""
 
-    def __init__(self, message: str, samples=None):
-        super().__init__(message)
-        self.samples = tuple(samples) if samples is not None else None
 
-
-class NoPatternError(TransfiniteError):
+class NoPatternError(_SampledError):
     """A sample sequence matched none of the least-upper-bound rules."""
-
-    def __init__(self, message: str, samples=None):
-        super().__init__(message)
-        self.samples = tuple(samples) if samples is not None else None
 
 
 class OrdinalDomainError(TransfiniteError, ValueError):

@@ -25,7 +25,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .budget import EvalBudget
-from .errors import BudgetExceeded, OrdinalDomainError
+from .errors import BudgetExceeded
+from .ordinal import check_natural
 
 Natural = int
 
@@ -42,7 +43,7 @@ def left_hyper(n: int, a: Natural, b: Natural, budget: Optional[EvalBudget] = No
 
 def right_identity(n: int) -> Natural:
     """The e with [a, e] = a at level n: 0 for addition, else 1."""
-    _check_level(n)
+    check_natural(n, "operation index", 1)
     return 0 if n == 1 else 1
 
 
@@ -51,24 +52,11 @@ def no_left_identity_witness(e: Natural) -> Natural:
     for exponentiation.  One exists for every e because no natural squares
     to 2, so the search below cannot fall through.
     """
-    if not isinstance(e, int) or e < 0:
-        raise OrdinalDomainError(f"expected a natural number, got {e!r}")
+    check_natural(e, "candidate identity")
     for a in (2, 3, 0, 1):
         if e**a != a:
             return a
     raise AssertionError("unreachable: e**2 = 2 has no natural solution")
-
-
-def _check_level(n):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise OrdinalDomainError(f"operation level must be an integer >= 1, got {n!r}")
-
-
-def _check_natural(x, budget):
-    if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-        raise OrdinalDomainError(f"expected a natural number, got {x!r}")
-    if x.bit_length() > budget.max_bits:
-        raise BudgetExceeded(f"input exceeds {budget.max_bits} bits")
 
 
 class _Frame:
@@ -85,15 +73,15 @@ class _Frame:
 
 
 def _tower_eval(n, a, b, budget, leftward):
-    _check_level(n)
+    check_natural(n, "operation index", 1)
     budget = budget or EvalBudget()
-    _check_natural(a, budget)
-    _check_natural(b, budget)
+    for x in (a, b):
+        check_natural(x, "argument")
+        budget.check_bits(x.bit_length())
 
     def flat(level, x, y):
         value = x + y if level == 1 else x * y
-        if value.bit_length() > budget.max_bits:
-            raise BudgetExceeded(f"intermediate exceeds {budget.max_bits} bits")
+        budget.check_bits(value.bit_length())
         return value
 
     if n <= 2:
@@ -111,7 +99,7 @@ def _tower_eval(n, a, b, budget, leftward):
             frame.acc = result
             result = None
             frame.done += 1
-            _note(frame, budget)
+            _note(frame)
         if frame.done >= frame.count:
             memo[(frame.level, frame.a, frame.count)] = frame.acc
             result = frame.acc
@@ -151,9 +139,9 @@ def _tower_eval(n, a, b, budget, leftward):
     return result
 
 
-def _note(frame, budget):
-    if frame.acc.bit_length() > budget.max_bits:
-        raise BudgetExceeded(f"intermediate exceeds {budget.max_bits} bits")
+def _note(frame):
+    # No bits check: every accumulator was checked where it was made,
+    # by flat() or as an earlier frame's accumulator or input.
     if frame.acc not in frame.seen:
         frame.seen[frame.acc] = frame.done
     frame.trail.append(frame.acc)

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cmp_to_key
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .budget import EvalBudget
 from .errors import BudgetExceeded, NotRepresentable, OrdinalDomainError
-from .ordinal import OMEGA, ZERO, Ordinal, compare, from_natural, omega_power
+from .ordinal import OMEGA, ZERO, Ordinal, check_natural, from_natural, omega_power
 from .synthesis import Memo, synth
 
 __all__ = [
@@ -55,11 +54,10 @@ def candidate_lattice(
     generated, so a loose bound does not widen the lattice).
     """
     for name, v in (("depth", depth), ("coeff", coeff), ("terms", terms)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise OrdinalDomainError(f"lattice {name} must be an integer >= 1, got {v!r}")
+        check_natural(v, f"lattice {name}", 1)
     pool = {ZERO}
     for _ in range(depth):
-        exponents = sorted(pool, key=cmp_to_key(compare), reverse=True)
+        exponents = sorted(pool, reverse=True)
         grown = set(pool)
         for r in range(1, terms + 1):
             for combo in itertools.combinations(exponents, r):
@@ -71,7 +69,7 @@ def candidate_lattice(
                             f"candidate lattice exceeds {LATTICE_CAP} entries"
                         )
         pool = grown
-    ordered = sorted(pool, key=cmp_to_key(compare))
+    ordered = sorted(pool)
     if bound is not None:
         ordered = [x for x in ordered if x <= bound]
     return ordered
@@ -106,7 +104,7 @@ def is_main_number(
     budget: Optional[EvalBudget] = None,
 ) -> MainVerdict:
     """Closure test for a single candidate against the candidate lattice."""
-    _check_index(i)
+    check_natural(i, "operation index", 1)
     if not isinstance(delta, Ordinal) or delta.is_zero:
         raise OrdinalDomainError(f"candidate must be an Ordinal > 0, got {delta!r}")
     depth, coeff, terms = lattice_spec
@@ -227,7 +225,7 @@ def enumerate_main_numbers(
     with synth(i+1, w, w^rank); one extra row past the last confirmed
     rank shows the next expected value.
     """
-    _check_index(i)
+    check_natural(i, "operation index", 1)
     if not isinstance(bound, Ordinal) or bound.is_zero:
         raise OrdinalDomainError(f"bound must be an Ordinal > 0, got {bound!r}")
     budget = budget or EvalBudget()
@@ -282,8 +280,3 @@ def enumerate_main_numbers(
         all_match=all_match,
         pairs_skipped=skipped,
     )
-
-
-def _check_index(i):
-    if not isinstance(i, int) or isinstance(i, bool) or i < 1:
-        raise OrdinalDomainError(f"operation index must be an integer >= 1, got {i!r}")

@@ -18,12 +18,13 @@ is its naive literal extension.  Indices start at 1 (addition).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .arithmetic import add, mul, pow_
 from .budget import EvalBudget
-from .errors import ParseError
+from .errors import BudgetExceeded, ParseError
 from .hyper import hyper, left_hyper
 from .ordinal import OMEGA, Ordinal, from_natural
 from .synthesis import naive_ext, synth
@@ -181,7 +182,7 @@ class _Parser:
         tok = self.next()
         kind, text, at = tok
         if kind == "nat":
-            return NatLit(int(text))
+            return NatLit(_natural(text))
         if kind == "(":
             node = self.sum()
             self.expect(")")
@@ -200,9 +201,9 @@ class _Parser:
         self.expect("(")
         index = self.op_index()
         self.expect(",")
-        base = int(self.expect("nat")[1])
+        base = _natural(self.expect("nat")[1])
         self.expect(",")
-        arg = int(self.expect("nat")[1])
+        arg = _natural(self.expect("nat")[1])
         self.expect(")")
         cls = Hyper if letter == "H" else LeftHyper
         return cls(index, base, arg)
@@ -220,14 +221,26 @@ class _Parser:
 
     def op_index(self) -> int:
         tok = self.expect("nat")
-        index = int(tok[1])
+        index = _natural(tok[1])
         if index < 1:
             raise ParseError("operation index must be at least 1", tok[2])
         return index
 
 
+def _natural(digits: str) -> int:
+    # int() refuses digit strings past the interpreter's limit, which the
+    # command line lifts above what max_bits allows.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(digits) > limit:
+        raise BudgetExceeded(f"a {len(digits)}-digit literal exceeds the {limit}-digit limit")
+    return int(digits)
+
+
 def parse(text: str) -> Expr:
-    """Parse `text` into an expression tree, or raise ParseError."""
+    """Parse `text` into an expression tree, or raise ParseError.
+
+    A numeral longer than the interpreter converts raises BudgetExceeded.
+    """
     parser = _Parser(text)
     node = parser.sum()
     trailing = parser.peek()
@@ -250,6 +263,7 @@ def eval_expr(node: Expr, budget: Optional[EvalBudget] = None) -> Ordinal:
 
 def _eval(node: Expr, budget: EvalBudget) -> Ordinal:
     if isinstance(node, NatLit):
+        budget.check_bits(node.value.bit_length())
         return from_natural(node.value)
     if isinstance(node, Omega):
         return OMEGA

@@ -31,8 +31,7 @@ class Ordinal:
         for exp, coeff in terms:
             if not isinstance(exp, Ordinal):
                 raise OrdinalDomainError(f"exponent must be an Ordinal, got {exp!r}")
-            if not isinstance(coeff, int) or isinstance(coeff, bool) or coeff < 1:
-                raise OrdinalDomainError(f"coefficient must be a natural >= 1, got {coeff!r}")
+            check_natural(coeff, "coefficient", 1)
             if prev is not None and compare(prev, exp) <= 0:
                 raise OrdinalDomainError("exponents must be strictly decreasing")
             prev = exp
@@ -75,10 +74,6 @@ class Ordinal:
         if not isinstance(other, Ordinal):
             return NotImplemented
         return self._terms == other._terms
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     def __lt__(self, other) -> bool:
         if not isinstance(other, Ordinal):
@@ -169,9 +164,14 @@ ONE = _ord(((ZERO, 1),))
 OMEGA = _ord(((ONE, 1),))
 
 
+def check_natural(value, what: str, least: int = 0) -> None:
+    """Reject anything but an int >= least; bools are not numbers here."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise OrdinalDomainError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 def from_natural(n: Natural) -> Ordinal:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise OrdinalDomainError(f"expected a natural number, got {n!r}")
+    check_natural(n, "natural")
     if n == 0:
         return ZERO
     return _ord(((ZERO, n),))
@@ -253,8 +253,7 @@ def fundamental_sequence(lam: Ordinal, k: Natural) -> Ordinal:
     """
     if not is_limit(lam):
         raise OrdinalDomainError(f"{lam} is not a limit ordinal")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise OrdinalDomainError(f"sequence index must be a natural, got {k!r}")
+    check_natural(k, "sequence index")
     (g, c), lead = lam.terms[-1], lam.terms[:-1]
     rest = lead + ((g, c - 1),) if c > 1 else lead
     if is_successor(g):

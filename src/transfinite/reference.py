@@ -39,14 +39,13 @@ from __future__ import annotations
 from typing import Optional
 
 from .arithmetic import add, mul, pow_
-from .budget import EvalBudget
-from .errors import BudgetExceeded, OrdinalDomainError
+from .budget import EvalBudget, Meter
+from .errors import OrdinalDomainError
 from .lub import sample_and_infer
 from .ordinal import (
     ZERO,
     ONE,
     Ordinal,
-    coefficient_bits,
     limit_and_finite_parts,
     successor,
 )
@@ -78,21 +77,16 @@ def reference_eval(
     return ctx.eval(y, 0)
 
 
-class _Ctx:
+class _Ctx(Meter):
+    # Takes no refunds: a refused sample's work stays spent.
+    __slots__ = ("op", "x", "unfold_depth", "memo")
+
     def __init__(self, op: str, x: Ordinal, budget: EvalBudget, unfold_depth: int):
+        super().__init__(budget)
         self.op = op
         self.x = x
-        self.budget = budget
         self.unfold_depth = unfold_depth
         self.memo = {}
-        self.work = 0
-
-    def step(self, depth: int):
-        self.work += 1
-        if depth > self.budget.max_depth:
-            raise BudgetExceeded(f"recursion deeper than {self.budget.max_depth}")
-        if self.work > self.budget.max_work:
-            raise BudgetExceeded(f"more than {self.budget.max_work} expansion steps")
 
     def base(self) -> Ordinal:
         if self.op == "add":
@@ -140,10 +134,6 @@ class _Ctx:
             self.check_size(acc)
         self.memo[y] = acc
         return acc
-
-    def check_size(self, value: Ordinal):
-        if coefficient_bits(value) > self.budget.max_bits:
-            raise BudgetExceeded("value coefficients exceed the bit budget")
 
 
 def reference_check(

@@ -19,18 +19,18 @@ accumulators), which is exactly what it exists to demonstrate.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .arithmetic import add, mul, pow_
-from .budget import EvalBudget
+from .budget import EvalBudget, Meter
 from .errors import BudgetExceeded, OrdinalDomainError
-from .lub import infer_lub, sample_and_infer
+from .lub import sample_and_infer
 from .ordinal import (
     ONE,
     ZERO,
     Ordinal,
     _ord,
-    coefficient_bits,
+    check_natural,
     is_additive_principal,
     is_limit,
     limit_and_finite_parts,
@@ -43,7 +43,6 @@ __all__ = [
     "naive_ext",
     "distributes",
     "DistributionCheck",
-    "infer_lub",
 ]
 
 MemoKey = Tuple[int, Ordinal, Ordinal]
@@ -92,24 +91,12 @@ def sup_limit(
     return _sup(ctx, n, alpha, lam, 0)
 
 
-class _SynthCtx:
-    __slots__ = ("budget", "memo", "work")
+class _SynthCtx(Meter):
+    __slots__ = ("memo",)
 
     def __init__(self, budget: EvalBudget, memo: Optional[Memo]):
-        self.budget = budget
+        super().__init__(budget)
         self.memo = memo if memo is not None else {}
-        self.work = 0
-
-    def step(self, depth: int):
-        self.work += 1
-        if depth > self.budget.max_depth:
-            raise BudgetExceeded(f"recursion deeper than {self.budget.max_depth}")
-        if self.work > self.budget.max_work:
-            raise BudgetExceeded(f"more than {self.budget.max_work} evaluation steps")
-
-    def check_size(self, value: Ordinal):
-        if coefficient_bits(value) > self.budget.max_bits:
-            raise BudgetExceeded(f"coefficient wider than {self.budget.max_bits} bits")
 
 
 def _eval(ctx: _SynthCtx, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> Ordinal:
@@ -135,17 +122,7 @@ def _eval(ctx: _SynthCtx, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> 
 
 
 def _sup(ctx: _SynthCtx, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordinal:
-    def eval_at(gamma: Ordinal) -> Ordinal:
-        snapshot = ctx.work
-        try:
-            return _eval(ctx, n, alpha, gamma, depth + 1)
-        except BudgetExceeded:
-            # Refund the doomed sample so the tolerated-prefix path in
-            # sample_and_infer leaves the rest of the evaluation room
-            # to finish.  Completed sub-results stay memoized.
-            ctx.work = snapshot
-            raise
-
+    eval_at = ctx.refunding(lambda gamma: _eval(ctx, n, alpha, gamma, depth + 1))
     return sample_and_infer(eval_at, lam, ctx.budget)
 
 
@@ -266,15 +243,7 @@ def _naive(ctx: _SynthCtx, n: int, alpha: Ordinal, beta: Ordinal, depth: int) ->
         if lam.is_zero:
             value = ZERO if n == 2 else ONE
         else:
-
-            def eval_at(gamma: Ordinal) -> Ordinal:
-                snapshot = ctx.work
-                try:
-                    return _naive(ctx, n, alpha, gamma, depth + 1)
-                except BudgetExceeded:
-                    ctx.work = snapshot
-                    raise
-
+            eval_at = ctx.refunding(lambda gamma: _naive(ctx, n, alpha, gamma, depth + 1))
             value = sample_and_infer(eval_at, lam, ctx.budget)
         if m and n == 2:
             # The m successor steps are each add(alpha, .); fold them at once.
@@ -330,8 +299,7 @@ def distributes(
 
 
 def _check_args(n, alpha, beta):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise OrdinalDomainError(f"operation index must be an integer >= 1, got {n!r}")
+    check_natural(n, "operation index", 1)
     for operand in (alpha, beta):
         if not isinstance(operand, Ordinal):
             raise OrdinalDomainError(f"expected an Ordinal, got {operand!r}")

@@ -1,0 +1,104 @@
+"""The budget meter and the rules it enforces."""
+import pytest
+
+from transfinite.budget import ENV_BITS, EvalBudget, Meter
+from transfinite.errors import BudgetExceeded, NotRepresentable
+from transfinite.ordinal import from_natural
+
+
+class TestMeter:
+    def test_depth_cap(self):
+        meter = Meter(EvalBudget(max_depth=4))
+        meter.step(4)
+        with pytest.raises(BudgetExceeded, match="deeper than 4"):
+            meter.step(5)
+
+    def test_work_cap_fires_at_max_work_plus_one(self):
+        budget = EvalBudget(max_depth=2)
+        meter = Meter(budget)
+        for _ in range(budget.max_work):
+            meter.step(0)
+        with pytest.raises(BudgetExceeded, match="evaluation steps"):
+            meter.step(0)
+        assert meter.work == budget.max_work + 1
+
+    def test_depth_is_tested_before_work(self):
+        meter = Meter(EvalBudget(max_depth=1))
+        meter.work = meter.budget.max_work
+        with pytest.raises(BudgetExceeded, match="deeper than"):
+            meter.step(2)
+
+    def test_check_size_reads_every_coefficient(self):
+        meter = Meter(EvalBudget(max_bits=8))
+        meter.check_size(from_natural(255))
+        with pytest.raises(BudgetExceeded):
+            meter.check_size(from_natural(256))
+
+    def test_refund_restores_the_counter_after_a_refusal(self):
+        meter = Meter(EvalBudget(max_depth=1))
+
+        def doomed(_):
+            while True:
+                meter.step(0)
+
+        meter.step(0)
+        with pytest.raises(BudgetExceeded):
+            meter.refunding(doomed)(None)
+        assert meter.work == 1
+
+    def test_completed_and_unrepresentable_calls_keep_their_work(self):
+        meter = Meter(EvalBudget())
+
+        def two_steps(x):
+            meter.step(0)
+            meter.step(0)
+            return x
+
+        def escapes(_):
+            meter.step(0)
+            raise NotRepresentable("past epsilon_0")
+
+        assert meter.refunding(two_steps)(7) == 7
+        assert meter.work == 2
+        with pytest.raises(NotRepresentable):
+            meter.refunding(escapes)(None)
+        assert meter.work == 3
+
+
+class TestBitsRule:
+    def test_boundary(self):
+        budget = EvalBudget(max_bits=8)
+        budget.check_bits(8)
+        with pytest.raises(BudgetExceeded, match="9-bit natural exceeds the 8-bit cap"):
+            budget.check_bits(9)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("field", ["max_depth", "max_bits", "sup_samples"])
+    @pytest.mark.parametrize("value", [0, -1, True, 2.0, "8", None])
+    def test_rejects_non_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EvalBudget(**{field: value})
+
+    def test_max_work_follows_depth(self):
+        assert EvalBudget(max_depth=3).max_work == 3 * 256
+
+
+class TestFromEnv:
+    def test_defaults_without_the_variable(self, monkeypatch):
+        monkeypatch.delenv(ENV_BITS, raising=False)
+        assert EvalBudget.from_env(max_bits=None, sup_samples=None) == EvalBudget()
+
+    def test_variable_applies(self, monkeypatch):
+        monkeypatch.setenv(ENV_BITS, "70000")
+        assert EvalBudget.from_env().max_bits == 70000
+
+    def test_explicit_max_bits_wins(self, monkeypatch):
+        monkeypatch.setenv(ENV_BITS, "70000")
+        assert EvalBudget.from_env(max_bits=100).max_bits == 100
+
+    @pytest.mark.parametrize("raw", ["many", "1.5", "0"])
+    def test_bad_value_raises_value_error(self, monkeypatch, raw):
+        monkeypatch.setenv(ENV_BITS, raw)
+        with pytest.raises(ValueError):
+            EvalBudget.from_env()

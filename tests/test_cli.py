@@ -47,6 +47,29 @@ class TestEval:
         assert "not representable" in err
 
 
+class TestExitContract:
+    # Each input ended in a traceback and exit 1, or was accepted past the
+    # bit cap, before literal widths and interpreter stack depth were
+    # refused as budget faults.
+    @pytest.mark.parametrize("expr", [
+        pytest.param("9" * 5000, id="5000-digit-literal"),
+        pytest.param("9" * 20000, id="20000-digit-literal"),
+        pytest.param("(" * 5000 + "w" + ")" * 5000, id="5000-parentheses"),
+        pytest.param("w^" * 3000 + "1", id="3000-chained-powers"),
+        pytest.param(" + ".join(["w^w^w^w"] * 2000), id="2000-summed-towers"),
+    ])
+    def test_refused_as_budget(self, capsys, expr):
+        code, out, err = run(capsys, ["eval", expr])
+        assert (code, out) == (3, "")
+        assert err.startswith("budget exceeded: ")
+        assert "Traceback" not in err
+
+    def test_cmp_refuses_a_wide_literal(self, capsys):
+        code, _, err = run(capsys, ["cmp", "9" * 5000, "w"])
+        assert code == 3
+        assert "Traceback" not in err
+
+
 class TestCmp:
     def test_orderings(self, capsys):
         assert run(capsys, ["cmp", "2^w", "w"])[1] == "=\n"

@@ -1,5 +1,6 @@
 """Parser, evaluator, and formatter for the expression syntax."""
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -140,6 +141,25 @@ class TestEvaluation:
             eval_expr(parse("H(4,2,5)"))
         roomy = EvalBudget(max_bits=70000)
         assert eval_expr(parse("H(4,2,5)"), roomy) == from_natural(2**65536)
+
+    def test_literal_width_is_capped(self):
+        narrow = EvalBudget(max_bits=8)
+        assert eval_expr(parse("255"), narrow) == from_natural(255)
+        with pytest.raises(BudgetExceeded):
+            eval_expr(parse("256"), narrow)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="interpreter has no int-from-str limit")
+    def test_numeral_past_the_conversion_limit_is_refused(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(1000)
+        try:
+            with pytest.raises(BudgetExceeded):
+                parse("1" * 1001)
+            with pytest.raises(BudgetExceeded):
+                parse("H(3,2," + "1" * 1001 + ")")
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestFormatting:
