@@ -38,9 +38,9 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
 
 def _budget_from(args: argparse.Namespace) -> EvalBudget:
     return EvalBudget.from_env(
-        max_depth=getattr(args, "max_depth", None),
-        max_bits=getattr(args, "max_bits", None),
-        sup_samples=getattr(args, "sup_samples", None),
+        max_depth=args.max_depth,
+        max_bits=args.max_bits,
+        sup_samples=args.sup_samples,
     )
 
 

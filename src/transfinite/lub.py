@@ -229,8 +229,6 @@ def sample_and_infer(
                 classify_lub(samples)
             except NoPatternError:
                 pass
-            except NotRepresentable:
-                raise
     try:
         return infer_lub(samples)
     except NoPatternError as err:

@@ -129,16 +129,11 @@ def _classify(
         scan_needed = True
         if beta_max is not None:
             try:
-                probe = synth(i, alpha, beta_max, budget, memo=memo)
+                scan_needed = synth(i, alpha, beta_max, budget, memo=memo) >= delta
             except NotRepresentable:
-                probe = None
+                pass
             except BudgetExceeded:
-                probe = None
                 skipped += 1  # probe unsettled: fall back to the full scan
-            else:
-                scan_needed = probe >= delta
-            if probe is None:
-                scan_needed = True
         if not scan_needed:
             continue
         for beta in below:

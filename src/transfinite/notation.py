@@ -110,9 +110,9 @@ def _tokenize(text: str) -> List[Token]:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("nat", text[i:j], i))
             i = j

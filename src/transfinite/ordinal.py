@@ -2,15 +2,20 @@
 
 An ordinal is a finite sum  w^e1*c1 + ... + w^ek*ck  with ordinal exponents
 e1 > e2 > ... > ek and natural coefficients ci >= 1.  The empty sum is 0.
-The representation is unique, so structural equality is ordinal equality,
-and the usual ordinal order is the lexicographic order on term lists.
+The representation is unique, and the usual ordinal order is the
+lexicographic order on term lists.
 
-Values are immutable and hashable.  Naturals are plain Python ints, which
-are already arbitrary precision.
+Values are immutable and interned (hash-consed): every value is built by
+`_ord`, which returns the one live object for its term tuple, so equal
+ordinals are the same object and `==` is `is`.  The hash, derived from the
+content and never from `id`, and the CNF height are set once when a value
+is first built.  Naturals are plain Python ints, which are already
+arbitrary precision.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Tuple
 
 from .errors import OrdinalDomainError
@@ -23,9 +28,9 @@ TermList = Tuple[Tuple["Ordinal", int], ...]
 class Ordinal:
     """An ordinal below epsilon_0 in Cantor normal form."""
 
-    __slots__ = ("_terms", "_hash", "_height")
+    __slots__ = ("_terms", "_hash", "_height", "__weakref__")
 
-    def __init__(self, terms: Iterable[Tuple["Ordinal", int]] = ()):
+    def __new__(cls, terms: Iterable[Tuple["Ordinal", int]] = ()):
         terms = tuple(terms)
         prev = None
         for exp, coeff in terms:
@@ -35,9 +40,12 @@ class Ordinal:
             if prev is not None and compare(prev, exp) <= 0:
                 raise OrdinalDomainError("exponents must be strictly decreasing")
             prev = exp
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_height", None)
+        return _ord(terms)
+
+    def __reduce__(self):
+        # Copies and unpickled values go back through the table; the default
+        # protocol would call Ordinal() and overwrite the slots of ZERO.
+        return _ord, (self._terms,)
 
     @property
     def terms(self) -> TermList:
@@ -68,13 +76,6 @@ class Ordinal:
 
     # -- ordering ----------------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._terms == other._terms
-
     def __lt__(self, other) -> bool:
         if not isinstance(other, Ordinal):
             return NotImplemented
@@ -96,11 +97,7 @@ class Ordinal:
         return compare(self, other) >= 0
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self._terms)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
     # -- rendering ---------------------------------------------------------
 
@@ -138,6 +135,8 @@ def compare(x: Ordinal, y: Ordinal) -> int:
     CNF order is lexicographic on (exponent, coefficient) term lists, with
     a missing term counting as smaller.
     """
+    if x is y:
+        return 0
     for (e1, c1), (e2, c2) in zip(x.terms, y.terms):
         c = compare(e1, e2)
         if c != 0:
@@ -150,24 +149,33 @@ def compare(x: Ordinal, y: Ordinal) -> int:
     return -1 if n1 < n2 else 1
 
 
+# Term tuple -> the one live Ordinal with those terms.
+_TABLE = weakref.WeakValueDictionary()
+
+
 def _ord(terms) -> Ordinal:
-    # Internal fast path: caller guarantees a valid term list.
-    o = Ordinal.__new__(Ordinal)
-    object.__setattr__(o, "_terms", tuple(terms))
-    object.__setattr__(o, "_hash", None)
-    object.__setattr__(o, "_height", None)
+    # The one constructor; the caller guarantees a valid term list.
+    terms = tuple(terms)
+    o = _TABLE.get(terms)
+    if o is None:
+        o = object.__new__(Ordinal)
+        o._terms = terms
+        o._hash = hash(terms)
+        # Height grows with value, so the leading exponent is the tallest.
+        o._height = 1 + terms[0][0]._height if terms else 0
+        _TABLE[terms] = o
     return o
-
-
-ZERO = Ordinal()
-ONE = _ord(((ZERO, 1),))
-OMEGA = _ord(((ONE, 1),))
 
 
 def check_natural(value, what: str, least: int = 0) -> None:
     """Reject anything but an int >= least; bools are not numbers here."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
         raise OrdinalDomainError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
+ZERO = Ordinal()
+ONE = Ordinal(((ZERO, 1),))
+OMEGA = Ordinal(((ONE, 1),))
 
 
 def from_natural(n: Natural) -> Ordinal:
@@ -271,11 +279,7 @@ def cnf_height(x: Ordinal) -> Natural:
     so on; unbounded height along an increasing sequence forces the
     supremum up to epsilon_0.
     """
-    h = x._height
-    if h is None:
-        h = 0 if not x.terms else 1 + max(cnf_height(e) for e, _ in x.terms)
-        object.__setattr__(x, "_height", h)
-    return h
+    return x._height
 
 
 def coefficient_bits(x: Ordinal) -> Natural:

@@ -68,13 +68,7 @@ def reference_eval(
     being checked.  See the module docstring for why unbounded unfolding
     cannot work.
     """
-    if op not in _OPS:
-        raise OrdinalDomainError(f"unknown operation {op!r}, expected one of {_OPS}")
-    if unfold_depth < 1:
-        raise OrdinalDomainError("unfold_depth must be >= 1")
-    budget = budget or EvalBudget()
-    ctx = _Ctx(op, x, budget, unfold_depth)
-    return ctx.eval(y, 0)
+    return _Ctx(op, x, budget or EvalBudget(), unfold_depth).eval(y, 0)
 
 
 class _Ctx(Meter):
@@ -82,6 +76,10 @@ class _Ctx(Meter):
     __slots__ = ("op", "x", "unfold_depth", "memo")
 
     def __init__(self, op: str, x: Ordinal, budget: EvalBudget, unfold_depth: int):
+        if op not in _OPS:
+            raise OrdinalDomainError(f"unknown operation {op!r}, expected one of {_OPS}")
+        if unfold_depth < 1:
+            raise OrdinalDomainError("unfold_depth must be >= 1")
         super().__init__(budget)
         self.op = op
         self.x = x
@@ -140,5 +138,6 @@ def reference_check(
     op: str, x: Ordinal, y: Ordinal, budget=None, unfold_depth: int = 2
 ) -> bool:
     """True when the closed form and the recursion agree on (x, y)."""
-    closed = {"add": add, "mul": mul, "pow": lambda a, b: pow_(a, b, budget)}[op]
-    return closed(x, y) == reference_eval(op, x, y, budget, unfold_depth)
+    budget = budget or EvalBudget()
+    closed = _Ctx(op, x, budget, unfold_depth).closed(y)
+    return closed == reference_eval(op, x, y, budget, unfold_depth)

@@ -9,7 +9,7 @@ from conftest import ordinals
 from support import W, nat, pair_corpus_below_w_w2, rand_below_w_w
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget
-from transfinite.errors import BudgetExceeded
+from transfinite.errors import BudgetExceeded, OrdinalDomainError
 from transfinite.ordinal import ONE, ZERO, is_limit, omega_power, successor
 from transfinite.reference import reference_check, reference_eval
 
@@ -142,6 +142,11 @@ class TestReferenceRoute:
     def test_reference_check_wrapper(self):
         assert reference_check("mul", W, W)
         assert reference_check("pow", nat(2), add(W, nat(2)))
+
+    def test_unknown_operation_is_a_domain_error(self):
+        for route in (reference_eval, reference_check):
+            with pytest.raises(OrdinalDomainError):
+                route("foo", W, W)
 
     def test_below_w_w_spot_checks(self):
         rng = random.Random(7)

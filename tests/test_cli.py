@@ -64,6 +64,13 @@ class TestExitContract:
         assert err.startswith("budget exceeded: ")
         assert "Traceback" not in err
 
+    def test_non_ascii_digit_is_a_parse_error(self, capsys):
+        # "²".isdigit() holds but int() rejects it.
+        code, out, err = run(capsys, ["eval", "²"])
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ")
+        assert "Traceback" not in err
+
     def test_cmp_refuses_a_wide_literal(self, capsys):
         code, _, err = run(capsys, ["cmp", "9" * 5000, "w"])
         assert code == 3

@@ -68,6 +68,11 @@ class TestParseErrors:
             parse("w @ 1")
         assert info.value.position == 2
 
+    def test_non_decimal_digit_position(self):
+        with pytest.raises(ParseError) as info:
+            parse("²")
+        assert info.value.position == 0
+
     def test_dangling_operator(self):
         with pytest.raises(ParseError):
             parse("w^")

@@ -1,17 +1,24 @@
-"""Core data type: canonical form, total order, structural helpers."""
+"""Core data type: canonical form, interning, total order, structural helpers."""
+import copy
+import gc
+import pickle
+import weakref
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given
 
 from conftest import ordinals
-from support import W, nat, w_times_plus
+from support import W, nat, tree_corpus, w_times_plus
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.errors import OrdinalDomainError
+from transfinite.notation import eval_expr, parse
 from transfinite.ordinal import (
     OMEGA,
     ONE,
     ZERO,
     Ordinal,
+    _TABLE,
     cnf_height,
     coefficient_bits,
     compare,
@@ -69,6 +76,45 @@ class TestConstruction:
         assert not OMEGA.is_natural
         with pytest.raises(OrdinalDomainError):
             OMEGA.natural_value()
+
+
+TREES = tree_corpus()
+
+
+def _height(x):
+    # The definition, recomputed from the structure.
+    return 1 + max(_height(e) for e, _ in x.terms) if x.terms else 0
+
+
+class TestInterning:
+    def test_equal_values_are_one_object(self):
+        built = Ordinal([(pow_(W, nat(2)), 3), (ONE, 1), (ZERO, 4)])
+        by_arithmetic = add(mul(pow_(W, pow_(W, nat(2))), nat(3)), add(W, nat(4)))
+        by_notation = eval_expr(parse("w^(w^2)*3 + w + 4"))
+        assert built is by_arithmetic is by_notation
+        assert Ordinal(built.terms) is built
+        assert Ordinal() is ZERO and from_natural(1) is ONE and omega_power(ONE) is OMEGA
+
+    def test_copies_and_pickles_return_the_same_object(self):
+        for x in TREES:
+            assert copy.copy(x) is x
+            assert copy.deepcopy(x) is x
+            assert pickle.loads(pickle.dumps(x)) is x
+        assert copy.copy(OMEGA) is OMEGA
+        assert ZERO.is_zero and str(ZERO) == "0"
+
+    def test_unreferenced_value_leaves_the_table(self):
+        x = from_natural(982451653 * 961748941)
+        terms = x.terms
+        ref = weakref.ref(x)
+        del x
+        gc.collect()
+        assert ref() is None
+        assert terms not in _TABLE
+
+    @given(st.sampled_from(TREES))
+    def test_height_matches_the_recursive_definition(self, x):
+        assert cnf_height(x) == _height(x)
 
 
 class TestOrder:
