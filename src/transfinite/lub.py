@@ -39,7 +39,7 @@ from .ordinal import (
     Ordinal,
     _ord,
     cnf_height,
-    fundamental_sequence,
+    fundamental_prefix,
     omega_power,
     successor,
 )
@@ -86,15 +86,17 @@ def classify_lub(samples: Sequence[Ordinal]) -> Tuple[Ordinal, LubInference]:
 def _tower_preview(samples: List[Ordinal]) -> bool:
     """Cheap filter for the in-flight tower check.
 
-    A run heading straight for epsilon_0 keeps climbing in both value and
-    height with every sample.  Only that sustained shape justifies paying
-    for a mid-run classification; anything else waits for the final
-    inference over the full run, which stays authoritative.
+    A run heading straight for epsilon_0 keeps climbing in height with
+    every sample.  Only that sustained shape justifies paying for a
+    mid-run classification; anything else waits for the final inference
+    over the full run, which stays authoritative.  Heights alone suffice:
+    a <= b forces a's leading exponent <= b's, and the height is one more
+    than the leading exponent's, so by induction a <= b implies
+    cnf_height(a) <= cnf_height(b).  Strictly climbing heights therefore
+    already mean strictly climbing values.
     """
-    last = samples[-4:]
-    return _strictly_increasing(last) and all(
-        cnf_height(a) < cnf_height(b) for a, b in zip(last, last[1:])
-    )
+    a, b, c, d = map(cnf_height, samples[-4:])
+    return a < b < c < d
 
 
 def _increasing_tail(samples: List[Ordinal]) -> List[Ordinal]:
@@ -141,7 +143,7 @@ def _lub_of_increasing(run: List[Ordinal], trace) -> Tuple[Ordinal, LubInference
 
     # EXPONENT_GROWTH.
     exps = [s.terms[0][0] for s in run]
-    if _strictly_increasing(exps):
+    if all(a < b for a, b in zip(exps, exps[1:])):
         cleaned = exps[1:] if exps[0].is_zero else exps
         if len(cleaned) >= 3:
             try:
@@ -183,10 +185,6 @@ def _common_term_prefix(run: List[Ordinal]):
     return tuple(prefix)
 
 
-def _strictly_increasing(values: List[Ordinal]) -> bool:
-    return all(a < b for a, b in zip(values, values[1:]))
-
-
 def sample_and_infer(
     eval_at: Callable[[Ordinal], Ordinal],
     lam: Ordinal,
@@ -210,20 +208,24 @@ def sample_and_infer(
         A genuine tower keeps climbing, so waiting costs one sample.
         Successful value inferences always use the full run.
 
-    NotRepresentable from a sample itself is final: the sampled function
-    is weakly increasing here, so any sample at or above epsilon_0 pins
-    the supremum there too.
+    NotRepresentable from a sample itself, or from the in-flight check, is
+    final: the sampled function is weakly increasing here, so any sample at
+    or above epsilon_0 pins the supremum there too.  A run the budget cut
+    short never concludes a tower, though: its few samples may show only
+    the early height climb, so that verdict becomes the refusal that cut
+    the run.
     """
-    gammas = [ZERO, ONE]
-    gammas.extend(fundamental_sequence(lam, k) for k in range(budget.sup_samples))
+    gammas = [ZERO, ONE] + fundamental_prefix(lam, budget.sup_samples)
     samples: List[Ordinal] = []
+    cut = None
     for g in gammas:
         try:
             samples.append(eval_at(g))
-        except BudgetExceeded:
-            if len(samples) >= 3:
-                break
-            raise
+        except BudgetExceeded as err:
+            if len(samples) < 3:
+                raise
+            cut = err
+            break
         if len(samples) >= 6 and _tower_preview(samples):
             try:
                 classify_lub(samples)
@@ -231,6 +233,10 @@ def sample_and_infer(
                 pass
     try:
         return infer_lub(samples)
+    except NotRepresentable:
+        if cut is None:
+            raise
+        raise cut
     except NoPatternError as err:
         rendered = ", ".join(str(s) for s in samples)
         raise BudgetExceeded(

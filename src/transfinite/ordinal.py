@@ -7,28 +7,26 @@ lexicographic order on term lists.
 
 Values are immutable and interned (hash-consed): every value is built by
 `_ord`, which returns the one live object for its term tuple, so equal
-ordinals are the same object and `==` is `is`.  The hash, derived from the
-content and never from `id`, and the CNF height are set once when a value
-is first built.  Naturals are plain Python ints, which are already
-arbitrary precision.
+ordinals are the same object and `==` is `is`.  The hash (from the content,
+never from `id`), the CNF height and the widest coefficient's bit length are
+set once, when a value is first built.  `terms` is a plain slot, read-only
+by convention.  Naturals are plain Python ints (arbitrary precision).
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 from .errors import OrdinalDomainError
 
 Natural = int
 
-TermList = Tuple[Tuple["Ordinal", int], ...]
-
 
 class Ordinal:
     """An ordinal below epsilon_0 in Cantor normal form."""
 
-    __slots__ = ("_terms", "_hash", "_height", "__weakref__")
+    __slots__ = ("terms", "_hash", "_height", "_bits", "__weakref__")
 
     def __new__(cls, terms: Iterable[Tuple["Ordinal", int]] = ()):
         terms = tuple(terms)
@@ -45,34 +43,30 @@ class Ordinal:
     def __reduce__(self):
         # Copies and unpickled values go back through the table; the default
         # protocol would call Ordinal() and overwrite the slots of ZERO.
-        return _ord, (self._terms,)
-
-    @property
-    def terms(self) -> TermList:
-        return self._terms
+        return _ord, (self.terms,)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.terms
 
     @property
     def is_natural(self) -> bool:
         """True for 0 and for single-term w^0*c, i.e. the finite ordinals."""
-        if not self._terms:
+        if not self.terms:
             return True
-        return len(self._terms) == 1 and self._terms[0][0].is_zero
+        return len(self.terms) == 1 and self.terms[0][0].is_zero
 
     def natural_value(self) -> Natural:
-        if not self._terms:
+        if not self.terms:
             return 0
         if self.is_natural:
-            return self._terms[0][1]
+            return self.terms[0][1]
         raise OrdinalDomainError(f"{self} is not a natural number")
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self.terms)
 
     # -- ordering ----------------------------------------------------------
 
@@ -107,10 +101,10 @@ class Ordinal:
         # w^0*C -> "C", w^1*C -> "w*C", and "*1" dropped.  A composite
         # exponent (anything other than a natural or w itself) gets
         # parentheses, e.g. "w^(w + 1)".
-        if not self._terms:
+        if not self.terms:
             return "0"
         out = []
-        for exp, coeff in self._terms:
+        for exp, coeff in self.terms:
             if exp.is_zero:
                 out.append(str(coeff))
                 continue
@@ -159,10 +153,11 @@ def _ord(terms) -> Ordinal:
     o = _TABLE.get(terms)
     if o is None:
         o = object.__new__(Ordinal)
-        o._terms = terms
+        o.terms = terms
         o._hash = hash(terms)
         # Height grows with value, so the leading exponent is the tallest.
         o._height = 1 + terms[0][0]._height if terms else 0
+        o._bits = max([max(c.bit_length(), e._bits) for e, c in terms], default=0)
         _TABLE[terms] = o
     return o
 
@@ -250,26 +245,31 @@ def limit_and_finite_parts(x: Ordinal) -> Tuple[Ordinal, Natural]:
     return x, 0
 
 
-def fundamental_sequence(lam: Ordinal, k: Natural) -> Ordinal:
-    """k-th member of the canonical increasing sequence converging to lam.
+def fundamental_prefix(lam: Ordinal, n: Natural) -> List[Ordinal]:
+    """The first n members [lam[0], ..., lam[n-1]] of lam's fundamental sequence.
 
     For the last CNF term w^g of lam:
       g = g' + 1:   lam[k] = rest + w^g' * k
       g a limit:    lam[k] = rest + w^(g[k])
     where rest is lam with one unit of its last term removed.  Examples:
-    w[3] = 3, (w^2)[3] = w*3, (w^w)[2] = w^2.
+    w[3] = 3, (w^2)[3] = w*3, (w^w)[2] = w^2.  The last term is split once
+    for all n members, and a limit exponent once per nesting level.
     """
     if not is_limit(lam):
         raise OrdinalDomainError(f"{lam} is not a limit ordinal")
-    check_natural(k, "sequence index")
+    check_natural(n, "prefix length")
     (g, c), lead = lam.terms[-1], lam.terms[:-1]
     rest = lead + ((g, c - 1),) if c > 1 else lead
     if is_successor(g):
         gp = predecessor(g)
-        if k == 0:
-            return _ord(rest)
-        return _ord(rest + ((gp, k),))
-    return _ord(rest + ((fundamental_sequence(g, k), 1),))
+        return [_ord(rest + ((gp, k),)) if k else _ord(rest) for k in range(n)]
+    return [_ord(rest + ((e, 1),)) for e in fundamental_prefix(g, n)]
+
+
+def fundamental_sequence(lam: Ordinal, k: Natural) -> Ordinal:
+    """k-th member of the canonical increasing sequence converging to lam."""
+    check_natural(k, "sequence index")
+    return fundamental_prefix(lam, k + 1)[k]
 
 
 def cnf_height(x: Ordinal) -> Natural:
@@ -284,12 +284,4 @@ def cnf_height(x: Ordinal) -> Natural:
 
 def coefficient_bits(x: Ordinal) -> Natural:
     """Largest bit length among all coefficients anywhere in the form."""
-    best = 0
-    for e, c in x.terms:
-        bits = c.bit_length()
-        if bits > best:
-            best = bits
-        sub = coefficient_bits(e)
-        if sub > best:
-            best = sub
-    return best
+    return x._bits

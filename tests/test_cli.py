@@ -50,13 +50,15 @@ class TestEval:
 class TestExitContract:
     # Each input ended in a traceback and exit 1, or was accepted past the
     # bit cap, before literal widths and interpreter stack depth were
-    # refused as budget faults.
+    # refused as budget faults.  The representable w * w^w^w^w exited 4
+    # while a sample run cut short by the budget was read as a tower.
     @pytest.mark.parametrize("expr", [
         pytest.param("9" * 5000, id="5000-digit-literal"),
         pytest.param("9" * 20000, id="20000-digit-literal"),
         pytest.param("(" * 5000 + "w" + ")" * 5000, id="5000-parentheses"),
         pytest.param("w^" * 3000 + "1", id="3000-chained-powers"),
         pytest.param(" + ".join(["w^w^w^w"] * 2000), id="2000-summed-towers"),
+        pytest.param("S(2,w,w^w^w^w)", id="truncated-sample-run"),
     ])
     def test_refused_as_budget(self, capsys, expr):
         code, out, err = run(capsys, ["eval", expr])

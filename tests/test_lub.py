@@ -177,6 +177,22 @@ class TestSampleAndInfer:
         # not burn all sup_samples first.
         assert calls == 6
 
+    def test_budget_cut_run_never_concludes_a_tower(self):
+        stages = [ZERO, W, WW, omega_power(WW)]
+        calls = 0
+
+        def f(g):
+            nonlocal calls
+            calls += 1
+            if calls > len(stages):
+                raise BudgetExceeded("synthetic")
+            return stages[calls - 1]
+
+        # Four climbing heights alone are the early climb of many benign
+        # runs; the refusal that cut the run is the answer.
+        with pytest.raises(BudgetExceeded, match="synthetic"):
+            sample_and_infer(f, W, B)
+
     def test_shapeless_run_reports_budget(self):
         values = [ONE, nat(2), W, add(W, ONE), mul(W, nat(2)), WW, nat(7), nat(9), W2, W3]
         it = iter(values)

@@ -23,6 +23,7 @@ from transfinite.ordinal import (
     coefficient_bits,
     compare,
     from_natural,
+    fundamental_prefix,
     fundamental_sequence,
     head_tail,
     is_additive_principal,
@@ -86,6 +87,11 @@ def _height(x):
     return 1 + max(_height(e) for e, _ in x.terms) if x.terms else 0
 
 
+def _bits(x):
+    # The definition, recomputed from the structure.
+    return max((max(c.bit_length(), _bits(e)) for e, c in x.terms), default=0)
+
+
 class TestInterning:
     def test_equal_values_are_one_object(self):
         built = Ordinal([(pow_(W, nat(2)), 3), (ONE, 1), (ZERO, 4)])
@@ -115,6 +121,10 @@ class TestInterning:
     @given(st.sampled_from(TREES))
     def test_height_matches_the_recursive_definition(self, x):
         assert cnf_height(x) == _height(x)
+
+    @given(st.sampled_from(TREES))
+    def test_coefficient_bits_match_the_recursive_definition(self, x):
+        assert coefficient_bits(x) == _bits(x)
 
 
 class TestOrder:
@@ -208,6 +218,13 @@ class TestStructure:
         assert cnf_height(omega_power(pow_(W, W))) == 4
         assert cnf_height(pow_(W, nat(2))) == cnf_height(mul(W, nat(9)))
 
+    def test_height_is_monotone_in_value(self):
+        # a <= b implies height(a) <= height(b); the tower preview in lub
+        # relies on it to read climbing values off climbing heights.
+        ordered = sorted(set(TREES))
+        for a, b in zip(ordered, ordered[1:]):
+            assert cnf_height(a) <= cnf_height(b), (a, b)
+
     def test_coefficient_bits_counts_all_levels(self):
         small = coefficient_bits(W)
         big = coefficient_bits(mul(W, nat(2 ** 40)))
@@ -246,6 +263,26 @@ class TestFundamentalSequence:
             fundamental_sequence(ZERO, 1)
         with pytest.raises(OrdinalDomainError):
             fundamental_sequence(add(W, ONE), 1)
+        for x in (ZERO, ONE, add(W, ONE), add(pow_(W, W), nat(3))):
+            with pytest.raises(OrdinalDomainError):
+                fundamental_prefix(x, 4)
+
+    def test_prefix_matches_the_members(self):
+        def member(lam, k):
+            # lam[k] from the definition, built with add and mul.
+            (g, c), lead = lam.terms[-1], lam.terms[:-1]
+            rest = Ordinal(lead + (((g, c - 1),) if c > 1 else ()))
+            if is_successor(g):
+                return add(rest, mul(omega_power(predecessor(g)), nat(k)))
+            return add(rest, omega_power(member(g, k)))
+
+        limits = {x for x in TREES if is_limit(x)}
+        assert len(limits) > 1000
+        for lam in limits:
+            members = [fundamental_sequence(lam, k) for k in range(16)]
+            assert members == [member(lam, k) for k in range(16)], lam
+            for n in range(17):
+                assert fundamental_prefix(lam, n) == members[:n], (lam, n)
 
     @given(ordinals(), st.integers(min_value=0, max_value=6))
     def test_sequence_climbs_strictly_below_its_limit(self, x, k):

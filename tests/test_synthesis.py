@@ -5,14 +5,17 @@ computed by the independent integer evaluator; those grids are the
 oracle.  The transfinite fixtures are frozen closed forms, each derivable
 by unrolling the unit fold by hand (see the comments).
 """
+import random
+
 import pytest
 
-from support import W, nat, pair_corpus_below_w_w2
+from support import W, nat, pair_corpus_below_w_w2, rand_tree
 
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget
 from transfinite.errors import BudgetExceeded, NotRepresentable, OrdinalDomainError
 from transfinite.hyper import hyper
+from transfinite.notation import eval_expr, parse
 from transfinite.ordinal import ONE, ZERO, from_natural, omega_power
 from transfinite.synthesis import DistributionCheck, distributes, naive_ext, sup_limit, synth
 
@@ -51,6 +54,28 @@ class TestClassicLevels:
             assert synth(2, x, y, B) == mul(x, y)
             assert synth(3, x, y, B) == pow_(x, y, B)
 
+    def test_a_budget_cut_run_is_never_a_false_tower(self):
+        # Under a small budget these runs are cut after a few samples whose
+        # heights climb; that once came back "not representable".  Whatever
+        # the budget refuses, every answer given matches the closed forms.
+        small = EvalBudget(max_depth=16)
+        value = lambda text: eval_expr(parse(text))
+        cases = [
+            (2, W, value("w^w^w^w")),
+            (3, value("w^(w^8*2)*6"), value("w^(w^8*7)*2 + w^9*4 + w")),
+        ]
+        rng = random.Random(0)
+        for _ in range(10):
+            x, y = rand_tree(rng, 4), rand_tree(rng, 4)
+            cases.extend((n, x, y) for n in (1, 2, 3))
+        closed = {1: add, 2: mul, 3: lambda x, y: pow_(x, y, B)}
+        for n, x, y in cases:
+            try:
+                got = synth(n, x, y, small)
+            except BudgetExceeded:
+                continue
+            assert got == closed[n](x, y), (n, x, y)
+
 
 class TestTransfiniteFixtures:
     def test_multiplication_level(self):
@@ -78,6 +103,12 @@ class TestTransfiniteFixtures:
     def test_tetration_with_infinite_base_escapes(self):
         with pytest.raises(NotRepresentable):
             synth(4, W, W, B)
+
+    def test_truncated_product_run_is_refused_not_a_tower(self):
+        # The samples of w * w^w^w^w run out of budget after 0, w, w^w,
+        # w^(w^w); their climbing heights do not make the product a tower.
+        with pytest.raises(BudgetExceeded):
+            synth(2, W, omega_power(omega_power(WW)), B)
 
     def test_level_five_tower_is_cut_off(self):
         with pytest.raises(BudgetExceeded):
