@@ -32,9 +32,9 @@ from .ordinal import (
 
 def add(x: Ordinal, y: Ordinal) -> Ordinal:
     """x + y.  The leading term of y absorbs every smaller term of x."""
-    if not y:
+    if y is ZERO:
         return x
-    if not x:
+    if x is ZERO:
         return y
     d = y.terms[0][0]
     keep = []
@@ -61,12 +61,12 @@ def mul(x: Ordinal, y: Ordinal) -> Ordinal:
     where a1 is the degree of x; the finite part of y multiplies the
     leading coefficient only, keeping the lower terms of x.
     """
-    if not x or not y:
+    if x is ZERO or y is ZERO:
         return ZERO
     a1, c1 = x.terms[0]
     out = []
     for e, c in y.terms:
-        if e.is_zero:
+        if e is ZERO:
             out.append((a1, c1 * c))
             out.extend(x.terms[1:])
         else:
@@ -80,9 +80,9 @@ def pow_(x: Ordinal, y: Ordinal, budget: Optional[EvalBudget] = None) -> Ordinal
     The optional budget caps the size of natural powers and of repeated
     squaring; without one the computation is unbounded.
     """
-    if not y:
+    if y is ZERO:
         return ONE
-    if not x:
+    if x is ZERO:
         if is_limit(y):
             return ONE
         return ZERO
@@ -92,12 +92,12 @@ def pow_(x: Ordinal, y: Ordinal, budget: Optional[EvalBudget] = None) -> Ordinal
     if x.is_natural:
         n = x.natural_value()
         tail_nat = _nat_pow(n, m, budget)
-        if not lam:
+        if lam is ZERO:
             return _ord(((ZERO, tail_nat),)) if tail_nat else ZERO
         # n^(w^e) = w^(w^e') with 1 + e' = e, so n^lam = w^delta below.
         delta = _ord(tuple((_strip_leading_one(e), c) for e, c in lam.terms))
         return _ord(((delta, tail_nat),))
-    head = omega_power(mul(x.terms[0][0], lam)) if lam else ONE
+    head = ONE if lam is ZERO else omega_power(mul(x.terms[0][0], lam))
     return mul(head, _pow_finite(x, m, budget))
 
 

@@ -69,7 +69,7 @@ def classify_lub(samples: Sequence[Ordinal]) -> Tuple[Ordinal, LubInference]:
 
     # Everything else needs a strictly increasing tail to read a trend from.
     run = _increasing_tail(samples)
-    if run and run[0].is_zero:
+    if run and run[0] is ZERO:
         run = run[1:]
     if len(run) < 3:
         raise NoPatternError("no usable increasing tail in samples", samples)
@@ -131,7 +131,7 @@ def _lub_of_increasing(run: List[Ordinal], trace) -> Tuple[Ordinal, LubInference
     prefix = _common_term_prefix(run)
     if prefix:
         remainders = [_ord(s.terms[len(prefix):]) for s in run]
-        if remainders and remainders[0].is_zero:
+        if remainders and remainders[0] is ZERO:
             remainders = remainders[1:]
         if len(remainders) >= 3:
             try:
@@ -144,7 +144,7 @@ def _lub_of_increasing(run: List[Ordinal], trace) -> Tuple[Ordinal, LubInference
     # EXPONENT_GROWTH.
     exps = [s.terms[0][0] for s in run]
     if all(a < b for a, b in zip(exps, exps[1:])):
-        cleaned = exps[1:] if exps[0].is_zero else exps
+        cleaned = exps[1:] if exps[0] is ZERO else exps
         if len(cleaned) >= 3:
             try:
                 sub, _ = _infer_increasing(cleaned, trace)

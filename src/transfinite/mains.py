@@ -55,15 +55,16 @@ def candidate_lattice(
     """
     for name, v in (("depth", depth), ("coeff", coeff), ("terms", terms)):
         check_natural(v, f"lattice {name}", 1)
-    pool = {ZERO}
+    # Ordered dicts, not sets: identity hashes must not steer the sorts below.
+    pool = dict.fromkeys([ZERO])
     for _ in range(depth):
         exponents = sorted(pool, reverse=True)
-        grown = set(pool)
+        grown = dict.fromkeys(pool)
         for r in range(1, terms + 1):
             for combo in itertools.combinations(exponents, r):
                 # exponents are sorted descending, so combo already is
                 for coeffs in itertools.product(range(1, coeff + 1), repeat=r):
-                    grown.add(Ordinal(tuple(zip(combo, coeffs))))
+                    grown[Ordinal(tuple(zip(combo, coeffs)))] = None
                     if len(grown) > LATTICE_CAP:
                         raise BudgetExceeded(
                             f"candidate lattice exceeds {LATTICE_CAP} entries"

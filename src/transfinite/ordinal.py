@@ -7,10 +7,10 @@ lexicographic order on term lists.
 
 Values are immutable and interned (hash-consed): every value is built by
 `_ord`, which returns the one live object for its term tuple, so equal
-ordinals are the same object and `==` is `is`.  The hash (from the content,
-never from `id`), the CNF height and the widest coefficient's bit length are
-set once, when a value is first built.  `terms` is a plain slot, read-only
-by convention.  Naturals are plain Python ints (arbitrary precision).
+ordinals are the same object, `==` is `is`, and values hash by identity.
+The CNF height and the widest coefficient's bit length are set once, when a
+value is first built.  `terms` is a plain slot, read-only by convention.
+Naturals are plain Python ints (arbitrary precision).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ Natural = int
 class Ordinal:
     """An ordinal below epsilon_0 in Cantor normal form."""
 
-    __slots__ = ("terms", "_hash", "_height", "_bits", "__weakref__")
+    __slots__ = ("terms", "_height", "_bits", "__weakref__")
 
     def __new__(cls, terms: Iterable[Tuple["Ordinal", int]] = ()):
         terms = tuple(terms)
@@ -56,7 +56,7 @@ class Ordinal:
         """True for 0 and for single-term w^0*c, i.e. the finite ordinals."""
         if not self.terms:
             return True
-        return len(self.terms) == 1 and self.terms[0][0].is_zero
+        return len(self.terms) == 1 and self.terms[0][0] is ZERO
 
     def natural_value(self) -> Natural:
         if not self.terms:
@@ -89,9 +89,6 @@ class Ordinal:
         if not isinstance(other, Ordinal):
             return NotImplemented
         return compare(self, other) >= 0
-
-    def __hash__(self) -> int:
-        return self._hash
 
     # -- rendering ---------------------------------------------------------
 
@@ -143,22 +140,33 @@ def compare(x: Ordinal, y: Ordinal) -> int:
     return -1 if n1 < n2 else 1
 
 
-# Term tuple -> the one live Ordinal with those terms.
-_TABLE = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+# Term tuple -> weak reference to the one live Ordinal with those terms.
+_TABLE = {}
+
+
+def _drop(ref: _Ref) -> None:
+    # Called when a value dies; a newer value may already own the entry.
+    if _TABLE.get(ref.key) is ref:
+        del _TABLE[ref.key]
 
 
 def _ord(terms) -> Ordinal:
     # The one constructor; the caller guarantees a valid term list.
     terms = tuple(terms)
-    o = _TABLE.get(terms)
+    ref = _TABLE.get(terms)
+    o = ref() if ref is not None else None
     if o is None:
         o = object.__new__(Ordinal)
         o.terms = terms
-        o._hash = hash(terms)
         # Height grows with value, so the leading exponent is the tallest.
         o._height = 1 + terms[0][0]._height if terms else 0
         o._bits = max([max(c.bit_length(), e._bits) for e, c in terms], default=0)
-        _TABLE[terms] = o
+        ref = _TABLE[terms] = _Ref(o, _drop)
+        ref.key = terms
     return o
 
 
@@ -214,16 +222,16 @@ def head_tail(x: Ordinal) -> Tuple[Ordinal, Ordinal]:
 
 
 def is_successor(x: Ordinal) -> bool:
-    return bool(x.terms) and x.terms[-1][0].is_zero
+    return bool(x.terms) and x.terms[-1][0] is ZERO
 
 
 def is_limit(x: Ordinal) -> bool:
-    return bool(x.terms) and not x.terms[-1][0].is_zero
+    return bool(x.terms) and x.terms[-1][0] is not ZERO
 
 
 def successor(x: Ordinal) -> Ordinal:
     terms = x.terms
-    if terms and terms[-1][0].is_zero:
+    if terms and terms[-1][0] is ZERO:
         e, c = terms[-1]
         return _ord(terms[:-1] + ((e, c + 1),))
     return _ord(terms + ((ZERO, 1),))

@@ -117,7 +117,7 @@ class _Ctx(Meter):
             self.memo[y] = acc
             return acc
         lam, m = limit_and_finite_parts(y)
-        if not lam:
+        if lam is ZERO:
             acc = self.base()
         else:
             acc = self.memo.get(lam)

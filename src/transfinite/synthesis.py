@@ -107,7 +107,7 @@ def _eval(ctx: _SynthCtx, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> 
     ctx.step(depth)
     if n == 1:
         result = add(alpha, beta)
-    elif beta.is_zero:
+    elif beta is ZERO:
         result = ZERO if n == 2 else ONE
     elif beta == ONE:
         result = alpha
@@ -240,7 +240,7 @@ def _naive(ctx: _SynthCtx, n: int, alpha: Ordinal, beta: Ordinal, depth: int) ->
         result = add(alpha, beta)
     else:
         lam, m = limit_and_finite_parts(beta)
-        if lam.is_zero:
+        if lam is ZERO:
             value = ZERO if n == 2 else ONE
         else:
             eval_at = ctx.refunding(lambda gamma: _naive(ctx, n, alpha, gamma, depth + 1))

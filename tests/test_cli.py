@@ -1,7 +1,11 @@
 """Command line driver, run in process through main(argv)."""
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+import hypothesis.strategies as st
+from hypothesis import given, settings
 
 from transfinite.cli import main
 
@@ -77,6 +81,40 @@ class TestExitContract:
         code, _, err = run(capsys, ["cmp", "9" * 5000, "w"])
         assert code == 3
         assert "Traceback" not in err
+
+
+def _expressions():
+    # w, small naturals, + * ^, parentheses and S/H calls of index <= 6.
+    leaf = st.one_of(st.just("w"), st.integers(0, 9).map(str))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+*^"), inner).map("".join),
+            inner.map("({})".format),
+            st.builds("{}({},{},{})".format, st.sampled_from("SH"),
+                      st.integers(0, 6), inner, inner),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=6)
+
+
+OPERANDS = st.one_of(_expressions(), st.text("w0123()+*^,SH ", max_size=20))
+COMMANDS = st.one_of(
+    st.builds(lambda e: ["eval", e], OPERANDS),
+    st.builds(lambda e: ["eval", e, "--format", "json"], OPERANDS),
+    st.builds(lambda a, b: ["cmp", a, b], OPERANDS, OPERANDS),
+)
+
+
+class TestExitContractProperty:
+    @settings(max_examples=500)
+    @given(COMMANDS)
+    def test_exit_code_is_documented(self, argv):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in {0, 2, 3, 4}, argv
+        assert "Traceback" not in err.getvalue(), argv
 
 
 class TestCmp:

@@ -9,16 +9,19 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from conftest import ordinals
-from support import W, nat, tree_corpus, w_times_plus
+from support import W, nat, pair_corpus_below_w_w2, tree_corpus, w_times_plus
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.errors import OrdinalDomainError
 from transfinite.notation import eval_expr, parse
+from transfinite.synthesis import synth
 from transfinite.ordinal import (
     OMEGA,
     ONE,
     ZERO,
     Ordinal,
     _TABLE,
+    _drop,
+    _ord,
     cnf_height,
     coefficient_bits,
     compare,
@@ -117,6 +120,39 @@ class TestInterning:
         gc.collect()
         assert ref() is None
         assert terms not in _TABLE
+
+    def test_dead_values_leave_no_entry(self):
+        # Distinct summands keep the values apart from those other tests
+        # hold; the memos keep every intermediate alive until the end.
+        pairs = [(add(a, nat(1000 + i)), add(b, nat(5)))
+                 for i, (a, b) in enumerate(pair_corpus_below_w_w2(100, seed=11))]
+        gc.collect()
+        baseline = len(_TABLE)
+        memos = []
+        for n in (2, 3):
+            for a, b in pairs:
+                memos.append({})
+                synth(n, a, b, memo=memos[-1])
+        assert len(_TABLE) > baseline + 1000
+        del memos
+        gc.collect()
+        assert len(_TABLE) == baseline
+
+    def test_stale_callback_keeps_the_live_entry(self):
+        terms = ((ZERO, 982451653 * 961748941 + 2),)
+        x = _ord(terms)
+        stale = _TABLE[terms]
+        del x
+        gc.collect()
+        assert stale() is None and terms not in _TABLE
+        y = _ord(terms)
+        _drop(stale)
+        assert _TABLE[terms]() is y and _ord(terms) is y
+
+    def test_identity_hash_survives_copies(self):
+        for x in TREES:
+            assert hash(x) == hash(copy.copy(x)) == hash(pickle.loads(pickle.dumps(x)))
+            assert x in {x}
 
     @given(st.sampled_from(TREES))
     def test_height_matches_the_recursive_definition(self, x):
