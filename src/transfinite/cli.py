@@ -2,8 +2,9 @@
 
 Subcommands: eval, cmp, table, mains, selftest.  Exit codes: 0 success,
 2 parse error, 3 budget exceeded, 4 value not representable below
-epsilon_0.  The TRANSFINITE_BUDGET_BITS environment variable overrides
-the default bit cap; explicit --max-bits wins over the variable.
+epsilon_0; selftest exits 1 when one of its checks fails.  The
+TRANSFINITE_BUDGET_BITS environment variable overrides the default bit
+cap; explicit --max-bits wins over the variable.
 """
 from __future__ import annotations
 

@@ -14,17 +14,29 @@ leftward variant feeds the accumulator in from the left instead:
 which still recovers multiplication and exponentiation but collapses at
 level 4, because exponentiation has no left identity to restart from.
 
-Evaluation is iterative with an explicit frame stack; recursion on values
-would overflow any call stack.  Each frame iterates with cycle detection
-(bases 0 and 1 loop through tiny value sets) and a bit-length cap, so
-running off toward a genuinely huge tower fails fast with BudgetExceeded.
+Levels 1 and 2 are one native operation.  Level 3 is a^b in both
+directions, folded by square-and-multiply (multiplication is
+associative).  It never uses Python's power operator, so comparing the
+two is a real check.  From level 4 up each level is one loop, and the
+last of its b applications is a step down a level rather than a call,
+so these chains stay flat however high they start:
+
+    rightward [a, 1] = a                  at every level
+    rightward [a, b] = [a, b mod 2]       one level down, for a <= 1: base 1
+                                          is a fixed point, base 0 has period 2
+    leftward  [a, b] = [1, a]             one level down, for b >= 1
+
+The last holds because the leftward accumulator starts at 1 and
+[1, x] = 1 from level 3 up.  Only chains that grow recurse, and the bit
+cap ends those within a few levels.  Each level visited is one step on
+the budget's Meter, the first at depth 1.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .budget import EvalBudget
+from .budget import EvalBudget, Meter
 from .errors import BudgetExceeded
 from .ordinal import check_natural
 
@@ -48,28 +60,11 @@ def right_identity(n: int) -> Natural:
 
 
 def no_left_identity_witness(e: Natural) -> Natural:
-    """Some a <= 3 with e**a != a, witnessing that e is no left identity
-    for exponentiation.  One exists for every e because no natural squares
-    to 2, so the search below cannot fall through.
+    """An a with e^a != a, witnessing that e is no left identity for
+    exponentiation.  a = 2 serves for every e: no natural squares to 2.
     """
     check_natural(e, "candidate identity")
-    for a in (2, 3, 0, 1):
-        if e**a != a:
-            return a
-    raise AssertionError("unreachable: e**2 = 2 has no natural solution")
-
-
-class _Frame:
-    __slots__ = ("level", "a", "count", "done", "acc", "seen", "trail")
-
-    def __init__(self, level, a, count):
-        self.level = level
-        self.a = a
-        self.count = count
-        self.done = 0
-        self.acc = 1
-        self.seen = {1: 0}
-        self.trail = [1]
+    return 2
 
 
 def _tower_eval(n, a, b, budget, leftward):
@@ -78,70 +73,54 @@ def _tower_eval(n, a, b, budget, leftward):
     for x in (a, b):
         check_natural(x, "argument")
         budget.check_bits(x.bit_length())
-
-    def flat(level, x, y):
-        value = x + y if level == 1 else x * y
-        budget.check_bits(value.bit_length())
-        return value
-
     if n <= 2:
-        return flat(n, a, b)
+        return _flat(budget, n, a, b)
+    try:
+        return _level(Meter(budget), n, a, b, leftward, 1)
+    except RecursionError:
+        # The bit or work cap normally ends a growing chain first; this is
+        # the backstop for budgets deeper than the interpreter stack.
+        raise BudgetExceeded(f"recursion exceeded the interpreter stack at level {n}")
 
-    memo = {}
-    stack = [_Frame(n, a, b)]
-    result = None
-    while stack:
-        if len(stack) > budget.max_depth:
-            raise BudgetExceeded(f"level recursion deeper than {budget.max_depth}")
-        frame = stack[-1]
-        if result is not None:
-            # A child frame finished one application for us.
-            frame.acc = result
-            result = None
-            frame.done += 1
-            _note(frame)
-        if frame.done >= frame.count:
-            memo[(frame.level, frame.a, frame.count)] = frame.acc
-            result = frame.acc
-            stack.pop()
-            continue
-        seen_at = frame.seen.get(frame.acc)
-        if seen_at is not None and seen_at < frame.done:
-            # The iteration entered a cycle; jump ahead modulo its period.
-            period = frame.done - seen_at
-            index = seen_at + (frame.count - seen_at) % period
-            memo[(frame.level, frame.a, frame.count)] = frame.trail[index]
-            result = frame.trail[index]
-            stack.pop()
-            continue
-        # Rightward, [a, 1] = a holds at every level by induction: the one
-        # application is [a, seed] a level down, and the seed is the right
-        # identity there.  That lets a pending count of 1 on a fresh
-        # accumulator skip the descent, so [a, 1] at an absurd level does
-        # not build an absurd stack.  Leftward the application is
-        # [seed, a], which is 1 from level 4 up, so no such shortcut.
-        if not leftward and frame.count == 1 and frame.done == 0 and frame.level >= 2:
-            frame.acc = frame.a
-            frame.done = 1
-            continue
-        child_level = frame.level - 1
-        # Rightward applies [a, acc]; leftward applies [acc, a], so the
-        # accumulator becomes the child's own base operand.
-        x, y = (frame.acc, frame.a) if leftward else (frame.a, frame.acc)
-        if child_level <= 2:
-            result = flat(child_level, x, y)
-            continue
-        cached = memo.get((child_level, x, y))
-        if cached is not None:
-            result = cached
-            continue
-        stack.append(_Frame(child_level, x, y))
+
+def _flat(budget, n, x, y):
+    value = x + y if n == 1 else x * y
+    budget.check_bits(value.bit_length())
+    return value
+
+
+def _level(meter, n, a, b, leftward, depth):
+    """[a, b] at level n >= 3, the level visited at the given depth."""
+    while True:
+        meter.step(depth)
+        if n == 3:
+            return _power(meter.budget, a, b)
+        if b == 0:
+            return 1
+        if leftward:
+            n, a, b = n - 1, 1, a
+        elif b == 1:
+            return a
+        elif a <= 1:
+            n, b = n - 1, b % 2
+        else:
+            acc = a  # the first application, [a, 1] one level down
+            for _ in range(b - 2):
+                acc = _level(meter, n - 1, a, acc, False, depth + 1)
+            n, b = n - 1, acc
+        depth += 1
+
+
+def _power(budget, a, b):
+    """a^b by square-and-multiply, every product under the bit cap.  The
+    base is squared only while exponent bits remain, so no intermediate
+    exceeds the result and a refusal here means the result is too wide.
+    """
+    result = 1
+    while b:
+        if b & 1:
+            result = _flat(budget, 2, result, a)
+        b >>= 1
+        if b:
+            a = _flat(budget, 2, a, a)
     return result
-
-
-def _note(frame):
-    # No bits check: every accumulator was checked where it was made,
-    # by flat() or as an earlier frame's accumulator or input.
-    if frame.acc not in frame.seen:
-        frame.seen[frame.acc] = frame.done
-    frame.trail.append(frame.acc)

@@ -99,8 +99,12 @@ def _expressions():
 
 
 OPERANDS = st.one_of(_expressions(), st.text("w0123()+*^,SH ", max_size=20))
+# Literal hyperoperation calls: deep levels, cycling bases, huge counts.
+HYPER_CALLS = st.builds("{}({},{},{})".format, st.sampled_from("HL"), st.integers(0, 300),
+                        st.integers(0, 5), st.one_of(st.integers(0, 6), st.just(10**9)))
 COMMANDS = st.one_of(
     st.builds(lambda e: ["eval", e], OPERANDS),
+    st.builds(lambda e: ["eval", e], HYPER_CALLS),
     st.builds(lambda e: ["eval", e, "--format", "json"], OPERANDS),
     st.builds(lambda a, b: ["cmp", a, b], OPERANDS, OPERANDS),
 )

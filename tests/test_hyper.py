@@ -36,10 +36,13 @@ class TestAgainstFoldOracle:
 
     def test_level_five_small_bases(self):
         # Base 3 already towers out of reach at level 5, so stop at 2.
-        for a in (0, 1, 2):
-            for b in range(4):
-                assert hyper(5, a, b) == fold(5, a, b)
-                assert left_hyper(5, a, b) == fold(5, a, b, leftward=True)
+        # Bases 0 and 1 stay small at every level, so they also run
+        # through levels 6-9, where the evaluator uses closed rules.
+        cases = [(5, a, b) for a in (0, 1, 2) for b in range(4)]
+        cases += [(n, a, b) for n in range(6, 10) for a in (0, 1) for b in range(7)]
+        for n, a, b in cases:
+            assert hyper(n, a, b) == fold(n, a, b), (n, a, b)
+            assert left_hyper(n, a, b) == fold(n, a, b, leftward=True), (n, a, b)
 
     def test_low_levels_match_native_operators(self):
         for a in range(0, 51, 7):
@@ -167,3 +170,31 @@ class TestDomainAndBudget:
         assert left_hyper(9, 1, 10**9) == 1
         assert hyper(4, 0, 10**9) == 1
         assert hyper(4, 0, 10**9 + 1) == 0
+
+    def test_default_depth_boundary(self):
+        # [2, 2] = 4 at every level, reached through one level per step
+        # down to level 3: level n sits at depth n - 2.
+        assert hyper(258, 2, 2) == 4
+        assert left_hyper(258, 2, 2) == 1
+        with pytest.raises(BudgetExceeded):
+            hyper(259, 2, 2)
+        with pytest.raises(BudgetExceeded):
+            left_hyper(259, 2, 2)
+
+    def test_cycling_base_needs_one_level_below(self):
+        with pytest.raises(BudgetExceeded):
+            hyper(4, 1, 5, EvalBudget(max_depth=1))
+        assert hyper(4, 1, 5, EvalBudget(max_depth=2)) == 1
+
+    def test_deep_chains_within_a_deep_budget(self):
+        # Deeper than the interpreter stack: the chains must run as loops.
+        deep = EvalBudget(max_depth=5000)
+        assert hyper(3000, 2, 2, deep) == 4
+        assert left_hyper(3000, 7, 1, deep) == 1
+
+    def test_power_bit_boundary(self):
+        narrow = EvalBudget(max_bits=64)
+        for op in (hyper, left_hyper):
+            assert op(3, 2, 63, narrow) == 2**63
+            with pytest.raises(BudgetExceeded):
+                op(3, 2, 64, narrow)

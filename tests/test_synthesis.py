@@ -129,6 +129,29 @@ class TestMonotonicity:
         values = [synth(4, nat(2), b, B) for b in betas]
         assert values == sorted(values) and len(set(values)) == len(values)
 
+    def test_weakly_monotone_in_left_argument(self):
+        # alpha <= alpha' gives S(n,alpha,beta) <= S(n,alpha',beta) wherever
+        # both calls answer; the grid is listed in increasing order.
+        grid = [eval_expr(parse(s)) for s in (
+            "0", "1", "2", "3", "w", "w+1", "w*2", "w^2", "w^2+w",
+            "w^w", "w^w*2", "w^(w+1)", "w^(w^2)")]
+        assert grid == sorted(grid)
+        pairs = 0
+        for n in (1, 2, 3, 4):
+            for beta in grid:
+                row = []
+                for alpha in grid:
+                    try:
+                        row.append(synth(n, alpha, beta, B))
+                    except (BudgetExceeded, NotRepresentable):
+                        row.append(None)
+                for i, lo in enumerate(row):
+                    for hi in row[i + 1:]:
+                        if lo is not None and hi is not None:
+                            pairs += 1
+                            assert lo <= hi, (n, beta)
+        assert pairs > 3000  # 3363 at the default budget
+
 
 class TestSupLimit:
     def test_matches_full_evaluation(self):
