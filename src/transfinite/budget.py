@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import BudgetExceeded
 from .ordinal import Ordinal, check_natural, coefficient_bits
@@ -75,7 +74,8 @@ class Meter:
     """The work counter of one evaluation under one budget.
 
     Evaluators call step() once per unit of work and check_size() on
-    each value they produce.
+    each value they produce.  lub.sample_and_infer gives a refused
+    sample's work back.
     """
 
     __slots__ = ("budget", "work")
@@ -93,19 +93,3 @@ class Meter:
 
     def check_size(self, value: Ordinal) -> None:
         self.budget.check_bits(coefficient_bits(value))
-
-    def refunding(self, eval_at: Callable[[Ordinal], Ordinal]) -> Callable[[Ordinal], Ordinal]:
-        """eval_at, but a call the budget refuses gives its work back, so a
-        supremum that tolerates the refused sample leaves the rest of the
-        evaluation room to finish.  Completed sub-results stay memoized.
-        """
-
-        def sample(gamma: Ordinal) -> Ordinal:
-            snapshot = self.work
-            try:
-                return eval_at(gamma)
-            except BudgetExceeded:
-                self.work = snapshot
-                raise
-
-        return sample

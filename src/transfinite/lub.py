@@ -31,7 +31,7 @@ import enum
 from typing import Callable, List, Sequence, Tuple
 
 from .arithmetic import add
-from .budget import EvalBudget
+from .budget import Meter
 from .errors import BudgetExceeded, NoPatternError, NotRepresentable
 from .ordinal import (
     ZERO,
@@ -69,10 +69,6 @@ def classify_lub(samples: Sequence[Ordinal]) -> Tuple[Ordinal, LubInference]:
 
     # Everything else needs a strictly increasing tail to read a trend from.
     run = _increasing_tail(samples)
-    if run and run[0] is ZERO:
-        run = run[1:]
-    if len(run) < 3:
-        raise NoPatternError("no usable increasing tail in samples", samples)
     value, rule = _infer_increasing(run, samples)
     # Samples before the tail can only matter if one of them is larger;
     # sup(all) = max(sup(tail), max(rest)).
@@ -113,8 +109,11 @@ def _infer_increasing(run: List[Ordinal], trace) -> Tuple[Ordinal, LubInference]
     (e.g. [w, w*2, w*2+1, w*2+2, ...] has no shared literal prefix, yet
     its tail peels to w*2 + k).  Dropping leading entries is sound: the
     run is strictly increasing, so any trailing window's lub dominates
-    everything dropped.  NotRepresentable propagates immediately.
+    everything dropped.  A leading zero is dropped first, and at least
+    three entries must remain.  NotRepresentable propagates immediately.
     """
+    if run[0] is ZERO:
+        run = run[1:]
     for start in range(len(run) - 2):
         try:
             return _lub_of_increasing(run[start:], trace)
@@ -130,28 +129,22 @@ def _lub_of_increasing(run: List[Ordinal], trace) -> Tuple[Ordinal, LubInference
     # coefficient alike); remainders are again strictly increasing.
     prefix = _common_term_prefix(run)
     if prefix:
-        remainders = [_ord(s.terms[len(prefix):]) for s in run]
-        if remainders and remainders[0] is ZERO:
-            remainders = remainders[1:]
-        if len(remainders) >= 3:
-            try:
-                sub, _ = _infer_increasing(remainders, trace)
-            except NoPatternError:
-                sub = None
-            if sub is not None:
-                return add(_ord(prefix), sub), LubInference.PREFIX_PEEL
+        try:
+            sub, _ = _infer_increasing([_ord(s.terms[len(prefix):]) for s in run], trace)
+        except NoPatternError:
+            pass
+        else:
+            return add(_ord(prefix), sub), LubInference.PREFIX_PEEL
 
     # EXPONENT_GROWTH.
     exps = [s.terms[0][0] for s in run]
     if all(a < b for a, b in zip(exps, exps[1:])):
-        cleaned = exps[1:] if exps[0] is ZERO else exps
-        if len(cleaned) >= 3:
-            try:
-                sub, _ = _infer_increasing(cleaned, trace)
-            except NoPatternError:
-                sub = None
-            if sub is not None:
-                return omega_power(sub), LubInference.EXPONENT_GROWTH
+        try:
+            sub, _ = _infer_increasing(exps, trace)
+        except NoPatternError:
+            pass
+        else:
+            return omega_power(sub), LubInference.EXPONENT_GROWTH
 
     # COEFFICIENT_GROWTH.
     first_exp = run[0].terms[0][0]
@@ -179,25 +172,28 @@ def _common_term_prefix(run: List[Ordinal]):
             prefix.append(term)
         else:
             break
-    # A prefix equal to the whole of the largest sample would leave that
-    # remainder empty in a strictly increasing run only for the smallest
-    # element, which is handled by the caller stripping one leading zero.
+    # A prefix equal to the whole of a sample leaves an empty remainder
+    # only for the smallest element of a strictly increasing run, and
+    # _infer_increasing drops that leading zero.
     return tuple(prefix)
 
 
 def sample_and_infer(
     eval_at: Callable[[Ordinal], Ordinal],
     lam: Ordinal,
-    budget: EvalBudget,
+    meter: Meter,
 ) -> Ordinal:
     """Supremum of eval_at over all points below the limit lam.
 
     Samples eval_at(0), eval_at(1), then eval_at(lam[k]) for
-    k < budget.sup_samples.  Two tolerances keep hard cases useful:
+    k < meter.budget.sup_samples, with eval_at counting its work on
+    meter.  Two tolerances keep hard cases useful:
 
       * if a later sample exceeds the budget, the prefix gathered so far
         (at least 3 values) is still inferred from, since further samples
-        only refine an already visible trend;
+        only refine an already visible trend.  The refused sample gives
+        its work back, so the rest of the evaluation has room to finish;
+        completed samples keep theirs and stay memoized;
       * once the two seed probes have at least four fundamental-sequence
         values behind them, a check runs after each new sample that only
         acts when it proves the sup escapes epsilon_0, cutting off ever
@@ -215,13 +211,15 @@ def sample_and_infer(
     the early height climb, so that verdict becomes the refusal that cut
     the run.
     """
-    gammas = [ZERO, ONE] + fundamental_prefix(lam, budget.sup_samples)
+    gammas = [ZERO, ONE] + fundamental_prefix(lam, meter.budget.sup_samples)
     samples: List[Ordinal] = []
     cut = None
     for g in gammas:
+        work = meter.work
         try:
             samples.append(eval_at(g))
         except BudgetExceeded as err:
+            meter.work = work
             if len(samples) < 3:
                 raise
             cut = err

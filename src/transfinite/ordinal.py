@@ -207,20 +207,6 @@ def repeated_term_count(x: Ordinal) -> Natural:
     return sum(c for _, c in x.terms)
 
 
-def head_tail(x: Ordinal) -> Tuple[Ordinal, Ordinal]:
-    """Split off the leading unit term: x = head + tail with head = w^e1.
-
-    Requires at least two unit terms; for 0 or an additive principal the
-    split is undefined.
-    """
-    if x.is_zero or is_additive_principal(x):
-        raise OrdinalDomainError(f"head/tail split needs >= 2 unit terms, got {x}")
-    (e, c), rest = x.terms[0], x.terms[1:]
-    head = omega_power(e)
-    tail = _ord(((e, c - 1),) + rest) if c > 1 else _ord(rest)
-    return head, tail
-
-
 def is_successor(x: Ordinal) -> bool:
     return bool(x.terms) and x.terms[-1][0] is ZERO
 

@@ -13,17 +13,18 @@ level leans on the operation one rung below it in closed form (mul's
 successor step adds, pow's multiplies); that layering keeps the closed
 form under test out of its own successor steps.
 
-The recursion unfolds literally down to `unfold_depth` nested suprema
-and then grounds out in the closed form.  Full unfolding is not an
-option: the value tree below an operand like w^(w*2) contains one node
-per digit vector over its exponent positions, which is exponential in
-the height of the operand, so no budget or memo makes it finish.  The
+The recursion unfolds literally down to `_UNFOLD_DEPTH` (2) nested
+suprema and then grounds out in the closed form.  Full unfolding is not
+an option: the value tree below an operand like w^(w*2) contains one
+node per digit vector over its exponent positions, which is exponential
+in the height of the operand, so no budget or memo makes it finish.  The
 grounded form instead checks that the closed algorithms are a fixed
 point of the defining recursion at every evaluated point.  Since the
 recursion descends a well order, agreement of every one-step unfolding
-on a downward-closed corpus is exactly the inductive step of a proof
-by transfinite induction; raising `unfold_depth` widens each step from
-one layer to several.
+on a downward-closed corpus is exactly the inductive step of a proof by
+transfinite induction; a deeper unfolding would widen each step from one
+layer to several.  The depth is at least 1: 0 would collapse the whole
+evaluation into the very closed form being checked.
 
 With a zero base this yields 0^0 = 1, 0^(g+1) = 0, and 0^lam = 1 at
 every limit lam, because the sup of {1, 0, 0, ...} is 1.  The closed
@@ -51,6 +52,7 @@ from .ordinal import (
 )
 
 _OPS = ("add", "mul", "pow")
+_UNFOLD_DEPTH = 2
 
 
 def reference_eval(
@@ -58,32 +60,20 @@ def reference_eval(
     x: Ordinal,
     y: Ordinal,
     budget: Optional[EvalBudget] = None,
-    unfold_depth: int = 2,
 ) -> Ordinal:
-    """Evaluate x <op> y by unfolding the defining recursion on y.
-
-    `unfold_depth` is how many nested supremum levels stay literal before
-    sub-evaluations ground out in the closed form.  It must be at least 1:
-    a 0 would collapse the whole evaluation into the very closed form
-    being checked.  See the module docstring for why unbounded unfolding
-    cannot work.
-    """
-    return _Ctx(op, x, budget or EvalBudget(), unfold_depth).eval(y, 0)
+    """Evaluate x <op> y by unfolding the defining recursion on y."""
+    return _Ctx(op, x, budget or EvalBudget()).eval(y, 0)
 
 
 class _Ctx(Meter):
-    # Takes no refunds: a refused sample's work stays spent.
-    __slots__ = ("op", "x", "unfold_depth", "memo")
+    __slots__ = ("op", "x", "memo")
 
-    def __init__(self, op: str, x: Ordinal, budget: EvalBudget, unfold_depth: int):
+    def __init__(self, op: str, x: Ordinal, budget: EvalBudget):
         if op not in _OPS:
             raise OrdinalDomainError(f"unknown operation {op!r}, expected one of {_OPS}")
-        if unfold_depth < 1:
-            raise OrdinalDomainError("unfold_depth must be >= 1")
         super().__init__(budget)
         self.op = op
         self.x = x
-        self.unfold_depth = unfold_depth
         self.memo = {}
 
     def base(self) -> Ordinal:
@@ -111,7 +101,7 @@ class _Ctx(Meter):
         hit = self.memo.get(y)
         if hit is not None:
             return hit
-        if depth >= self.unfold_depth:
+        if depth >= _UNFOLD_DEPTH:
             # Below the unfolding horizon: supply the value inductively.
             acc = self.closed(y)
             self.memo[y] = acc
@@ -122,9 +112,7 @@ class _Ctx(Meter):
         else:
             acc = self.memo.get(lam)
             if acc is None:
-                acc = sample_and_infer(
-                    lambda g: self.eval(g, depth + 1), lam, self.budget
-                )
+                acc = sample_and_infer(lambda g: self.eval(g, depth + 1), lam, self)
                 self.memo[lam] = acc
         for _ in range(m):
             self.step(depth)
@@ -134,10 +122,7 @@ class _Ctx(Meter):
         return acc
 
 
-def reference_check(
-    op: str, x: Ordinal, y: Ordinal, budget=None, unfold_depth: int = 2
-) -> bool:
+def reference_check(op: str, x: Ordinal, y: Ordinal, budget=None) -> bool:
     """True when the closed form and the recursion agree on (x, y)."""
     budget = budget or EvalBudget()
-    closed = _Ctx(op, x, budget, unfold_depth).closed(y)
-    return closed == reference_eval(op, x, y, budget, unfold_depth)
+    return _Ctx(op, x, budget).closed(y) == reference_eval(op, x, y, budget)

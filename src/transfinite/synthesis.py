@@ -62,15 +62,7 @@ def synth(
     A caller may pass a shared ``memo`` dict to reuse sub-results across
     calls; only share one between calls made with the same budget.
     """
-    _check_args(n, alpha, beta)
-    budget = budget or EvalBudget()
-    ctx = _SynthCtx(budget, memo)
-    try:
-        return _eval(ctx, n, alpha, beta, 0)
-    except RecursionError:
-        # The depth cap normally fires first; this is the backstop for
-        # budgets deeper than the interpreter stack.
-        raise BudgetExceeded(f"recursion exceeded the interpreter stack at level {n}")
+    return _run(_eval, n, alpha, beta, budget, memo)
 
 
 def sup_limit(
@@ -84,11 +76,7 @@ def sup_limit(
     Exposed for direct inspection of the sampling step; lam must be an
     additive-principal limit, the only shape the ladder takes suprema of.
     """
-    _check_args(n, alpha, lam)
-    if not (is_additive_principal(lam) and is_limit(lam)):
-        raise OrdinalDomainError(f"{lam} is not an additive-principal limit")
-    ctx = _SynthCtx(budget or EvalBudget(), None)
-    return _sup(ctx, n, alpha, lam, 0)
+    return _run(_principal_sup, n, alpha, lam, budget, None)
 
 
 class _SynthCtx(Meter):
@@ -97,6 +85,18 @@ class _SynthCtx(Meter):
     def __init__(self, budget: EvalBudget, memo: Optional[Memo]):
         super().__init__(budget)
         self.memo = memo if memo is not None else {}
+
+
+def _run(evaluate, n, alpha, beta, budget, memo):
+    """Check the arguments and run evaluate(ctx, n, alpha, beta, 0)."""
+    _check_args(n, alpha, beta)
+    ctx = _SynthCtx(budget or EvalBudget(), memo)
+    try:
+        return evaluate(ctx, n, alpha, beta, 0)
+    except RecursionError:
+        # The depth cap normally fires first; this is the backstop for
+        # budgets deeper than the interpreter stack.
+        raise BudgetExceeded(f"recursion exceeded the interpreter stack at level {n}")
 
 
 def _eval(ctx: _SynthCtx, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> Ordinal:
@@ -122,8 +122,13 @@ def _eval(ctx: _SynthCtx, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> 
 
 
 def _sup(ctx: _SynthCtx, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordinal:
-    eval_at = ctx.refunding(lambda gamma: _eval(ctx, n, alpha, gamma, depth + 1))
-    return sample_and_infer(eval_at, lam, ctx.budget)
+    return sample_and_infer(lambda gamma: _eval(ctx, n, alpha, gamma, depth + 1), lam, ctx)
+
+
+def _principal_sup(ctx: _SynthCtx, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordinal:
+    if not (is_additive_principal(lam) and is_limit(lam)):
+        raise OrdinalDomainError(f"{lam} is not an additive-principal limit")
+    return _sup(ctx, n, alpha, lam, depth)
 
 
 def _fold(ctx: _SynthCtx, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> Ordinal:
@@ -221,13 +226,7 @@ def naive_ext(
     every beta >= omega gives the same value as beta = omega, because
     the level-(n-1) successor steps cannot move an infinite accumulator.
     """
-    _check_args(n, alpha, beta)
-    budget = budget or EvalBudget()
-    ctx = _SynthCtx(budget, None)
-    try:
-        return _naive(ctx, n, alpha, beta, 0)
-    except RecursionError:
-        raise BudgetExceeded(f"recursion exceeded the interpreter stack at level {n}")
+    return _run(_naive, n, alpha, beta, budget, None)
 
 
 def _naive(ctx: _SynthCtx, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> Ordinal:
@@ -243,8 +242,9 @@ def _naive(ctx: _SynthCtx, n: int, alpha: Ordinal, beta: Ordinal, depth: int) ->
         if lam is ZERO:
             value = ZERO if n == 2 else ONE
         else:
-            eval_at = ctx.refunding(lambda gamma: _naive(ctx, n, alpha, gamma, depth + 1))
-            value = sample_and_infer(eval_at, lam, ctx.budget)
+            value = sample_and_infer(
+                lambda gamma: _naive(ctx, n, alpha, gamma, depth + 1), lam, ctx
+            )
         if m and n == 2:
             # The m successor steps are each add(alpha, .); fold them at once.
             value = add(_repeat_add(ctx, alpha, m, depth), value)

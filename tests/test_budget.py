@@ -2,7 +2,7 @@
 import pytest
 
 from transfinite.budget import ENV_BITS, EvalBudget, Meter
-from transfinite.errors import BudgetExceeded, NotRepresentable
+from transfinite.errors import BudgetExceeded
 from transfinite.ordinal import from_natural
 
 
@@ -33,36 +33,6 @@ class TestMeter:
         meter.check_size(from_natural(255))
         with pytest.raises(BudgetExceeded):
             meter.check_size(from_natural(256))
-
-    def test_refund_restores_the_counter_after_a_refusal(self):
-        meter = Meter(EvalBudget(max_depth=1))
-
-        def doomed(_):
-            while True:
-                meter.step(0)
-
-        meter.step(0)
-        with pytest.raises(BudgetExceeded):
-            meter.refunding(doomed)(None)
-        assert meter.work == 1
-
-    def test_completed_and_unrepresentable_calls_keep_their_work(self):
-        meter = Meter(EvalBudget())
-
-        def two_steps(x):
-            meter.step(0)
-            meter.step(0)
-            return x
-
-        def escapes(_):
-            meter.step(0)
-            raise NotRepresentable("past epsilon_0")
-
-        assert meter.refunding(two_steps)(7) == 7
-        assert meter.work == 2
-        with pytest.raises(NotRepresentable):
-            meter.refunding(escapes)(None)
-        assert meter.work == 3
 
 
 class TestBitsRule:

@@ -11,7 +11,7 @@ import pytest
 from support import W, nat
 
 from transfinite.arithmetic import add, mul, pow_
-from transfinite.budget import EvalBudget
+from transfinite.budget import EvalBudget, Meter
 from transfinite.errors import BudgetExceeded, NoPatternError, NotRepresentable
 from transfinite.lub import LubInference, classify_lub, infer_lub, sample_and_infer
 from transfinite.ordinal import ONE, ZERO, omega_power
@@ -119,13 +119,13 @@ class TestNoPattern:
 
 class TestSampleAndInfer:
     def test_addition_over_a_limit(self):
-        assert sample_and_infer(lambda g: add(W, g), omega_power(W), B) == WW
+        assert sample_and_infer(lambda g: add(W, g), omega_power(W), Meter(B)) == WW
 
     def test_multiplication_over_omega(self):
-        assert sample_and_infer(lambda g: mul(W, g), W, B) == W2
+        assert sample_and_infer(lambda g: mul(W, g), W, Meter(B)) == W2
 
     def test_constant_function(self):
-        assert sample_and_infer(lambda g: W3, W, B) == W3
+        assert sample_and_infer(lambda g: W3, W, Meter(B)) == W3
 
     def test_budget_blown_after_three_samples_still_infers(self):
         calls = 0
@@ -138,7 +138,43 @@ class TestSampleAndInfer:
             return pow_(W, nat(calls - 1), B)
 
         # Samples 1, w, w^2, w^3 survive; the trend is already visible.
-        assert sample_and_infer(f, W, B) == WW
+        assert sample_and_infer(f, W, Meter(B)) == WW
+
+    def test_refused_sample_gives_its_work_back(self):
+        meter = Meter(EvalBudget(max_depth=1))
+        calls = 0
+
+        def f(g):
+            nonlocal calls
+            calls += 1
+            if calls > 4:
+                while True:
+                    meter.step(0)
+            meter.step(0)
+            meter.step(0)
+            return pow_(W, nat(calls - 1), B)
+
+        # The fifth sample burns the whole work cap and is refused; the
+        # run goes on from the four completed samples and their 8 steps.
+        assert sample_and_infer(f, W, meter) == WW
+        assert meter.work == 8
+
+    def test_completed_and_unrepresentable_samples_keep_their_work(self):
+        meter = Meter(B)
+        calls = 0
+
+        def f(g):
+            nonlocal calls
+            calls += 1
+            meter.step(0)
+            if calls > 3:
+                raise NotRepresentable("synthetic")
+            meter.step(0)
+            return nat(calls)
+
+        with pytest.raises(NotRepresentable):
+            sample_and_infer(f, W, meter)
+        assert meter.work == 3 * 2 + 1
 
     def test_budget_blown_too_early_propagates(self):
         calls = 0
@@ -151,14 +187,14 @@ class TestSampleAndInfer:
             return nat(calls)
 
         with pytest.raises(BudgetExceeded):
-            sample_and_infer(f, W, B)
+            sample_and_infer(f, W, Meter(B))
 
     def test_unrepresentable_sample_is_final(self):
         def f(g):
             raise NotRepresentable("synthetic")
 
         with pytest.raises(NotRepresentable):
-            sample_and_infer(f, W, B)
+            sample_and_infer(f, W, Meter(B))
 
     def test_tower_run_is_cut_off_early(self):
         stages = [W]
@@ -172,7 +208,7 @@ class TestSampleAndInfer:
             return stages[calls - 1]
 
         with pytest.raises(NotRepresentable):
-            sample_and_infer(f, W, B)
+            sample_and_infer(f, W, Meter(B))
         # Two seed probes plus four trend samples suffice; the run must
         # not burn all sup_samples first.
         assert calls == 6
@@ -191,7 +227,7 @@ class TestSampleAndInfer:
         # Four climbing heights alone are the early climb of many benign
         # runs; the refusal that cut the run is the answer.
         with pytest.raises(BudgetExceeded, match="synthetic"):
-            sample_and_infer(f, W, B)
+            sample_and_infer(f, W, Meter(B))
 
     def test_shapeless_run_reports_budget(self):
         values = [ONE, nat(2), W, add(W, ONE), mul(W, nat(2)), WW, nat(7), nat(9), W2, W3]
@@ -201,7 +237,7 @@ class TestSampleAndInfer:
             return next(it)
 
         with pytest.raises(BudgetExceeded) as info:
-            sample_and_infer(f, W, B)
+            sample_and_infer(f, W, Meter(B))
         assert "no growth rule matched" in str(info.value)
 
     def test_result_stable_under_more_samples(self):
@@ -211,4 +247,5 @@ class TestSampleAndInfer:
             (lambda g: mul(W, g), W),
             (lambda g: pow_(add(W, ONE), g, wide), W),
         ):
-            assert sample_and_infer(fn, lam, B) == sample_and_infer(fn, lam, wide)
+            narrow = sample_and_infer(fn, lam, Meter(B))
+            assert narrow == sample_and_infer(fn, lam, Meter(wide))

@@ -28,7 +28,6 @@ from transfinite.ordinal import (
     from_natural,
     fundamental_prefix,
     fundamental_sequence,
-    head_tail,
     is_additive_principal,
     is_limit,
     is_successor,
@@ -229,13 +228,6 @@ class TestPredicates:
 
 
 class TestStructure:
-    def test_head_tail(self):
-        x = add(add(pow_(W, nat(2)), mul(W, nat(3))), nat(4))
-        head, tail = head_tail(x)
-        assert head == pow_(W, nat(2))
-        assert tail == add(mul(W, nat(3)), nat(4))
-        assert add(head, tail) == x
-
     def test_repeated_term_count(self):
         assert repeated_term_count(mul(W, nat(5))) == 5
         assert repeated_term_count(nat(3)) == 3

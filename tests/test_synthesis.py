@@ -236,6 +236,17 @@ class TestDomainAndMemo:
         with pytest.raises(OrdinalDomainError):
             naive_ext(2, W, "w", B)
 
+    @pytest.mark.parametrize(
+        "evaluate, beta",
+        [(synth, nat(2)), (naive_ext, nat(2)), (sup_limit, W)],
+        ids=["synth", "naive_ext", "sup_limit"],
+    )
+    def test_interpreter_stack_overflow_is_refused(self, evaluate, beta):
+        # A depth cap past the interpreter stack lets the stack overflow
+        # first; every entry point reports that as a budget refusal.
+        with pytest.raises(BudgetExceeded, match="interpreter stack"):
+            evaluate(3000, nat(2), beta, EvalBudget(max_depth=5000))
+
     def test_shared_memo_reproduces_results(self):
         memo = {}
         first = synth(4, nat(2), add(W, ONE), B, memo=memo)
