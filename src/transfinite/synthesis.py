@@ -33,8 +33,10 @@ from .ordinal import (
     check_natural,
     is_additive_principal,
     is_limit,
+    is_successor,
     limit_and_finite_parts,
     omega_power,
+    predecessor,
 )
 
 __all__ = [
@@ -122,7 +124,57 @@ def _eval(ctx: _SynthCtx, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> 
 
 
 def _sup(ctx: _SynthCtx, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordinal:
-    return sample_and_infer(lambda gamma: _eval(ctx, n, alpha, gamma, depth + 1), lam, ctx)
+    """Supremum at lam = w^e by sampling, each sample at depth + 1.
+
+    At levels 2 and 3 with a successor exponent e = g + 1 the samples
+    past the seeds are w^g*k, and _fold would build each one from
+    scratch as k copies of H = synth(n, alpha, w^g) folded at level
+    n - 1.  Instead sample k (k >= 2) is built from sample k - 1 as
+    <H, sample k-1> at level n - 1: one add(H, prev) at level 2, one
+    mul(H, prev) at level 3.  Addition and multiplication are
+    associative, so the value is the one the fold gives.
+
+    The chain charges what the fold charges, all at the sample's own
+    depth: one step for the sample plus (k-1).bit_length() doublings of
+    _repeat_add at level 2, one step for the sample plus one for the
+    closed power at level 3.  Memo entries and the size check are those
+    of _eval, so budgets refuse exactly the same samples.  The level-3
+    fold's power refuses a non-principal H^(k-1) once k - 1 exceeds
+    max_bits; past that point the sample takes the fold.
+
+    Level 4 and up need no chain: sample k's fold re-requests the k - 2
+    values sample k - 1 already memoized, and memo hits cost nothing,
+    so only one evaluation per sample is new there already.
+    """
+    depth += 1
+    exp = lam.terms[0][0]
+    if n > 3 or not is_successor(exp):
+        return sample_and_infer(lambda gamma: _eval(ctx, n, alpha, gamma, depth), lam, ctx)
+    g = predecessor(exp)
+    head = prev = None  # the values of samples w^g and w^g*prev_k
+    prev_k = 0
+
+    def eval_at(gamma: Ordinal) -> Ordinal:
+        nonlocal head, prev, prev_k
+        terms = gamma.terms
+        k = terms[0][1] if len(terms) == 1 and terms[0][0] is g else 0
+        if k < 2 or prev_k != k - 1 or (n == 3 and k - 1 > ctx.budget.max_bits):
+            value = _eval(ctx, n, alpha, gamma, depth)
+        else:
+            key = (n, alpha, gamma)
+            value = ctx.memo.get(key)
+            if value is None:
+                for _ in range(1 + (k - 1).bit_length() if n == 2 else 2):
+                    ctx.step(depth)
+                value = add(head, prev) if n == 2 else mul(head, prev)
+                ctx.check_size(value)
+                ctx.memo[key] = value
+        if k == 1:
+            head = value
+        prev, prev_k = value, k
+        return value
+
+    return sample_and_infer(eval_at, lam, ctx)
 
 
 def _principal_sup(ctx: _SynthCtx, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordinal:

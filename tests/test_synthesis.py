@@ -8,16 +8,30 @@ by unrolling the unit fold by hand (see the comments).
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import ordinals
 from support import W, nat, pair_corpus_below_w_w2, rand_tree
+
+from transfinite import synthesis
 
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget
 from transfinite.errors import BudgetExceeded, NotRepresentable, OrdinalDomainError
 from transfinite.hyper import hyper
+from transfinite.lub import sample_and_infer
 from transfinite.notation import eval_expr, parse
 from transfinite.ordinal import ONE, ZERO, from_natural, omega_power
-from transfinite.synthesis import DistributionCheck, distributes, naive_ext, sup_limit, synth
+from transfinite.synthesis import (
+    DistributionCheck,
+    _eval,
+    _SynthCtx,
+    distributes,
+    naive_ext,
+    sup_limit,
+    synth,
+)
 
 B = EvalBudget()
 W2 = pow_(W, nat(2), B)
@@ -75,6 +89,82 @@ class TestClassicLevels:
             except BudgetExceeded:
                 continue
             assert got == closed[n](x, y), (n, x, y)
+
+    @given(st.sampled_from((1, 2, 3)), ordinals(), ordinals())
+    def test_levels_one_to_three_answer_the_closed_form_or_refuse(self, n, x, y):
+        # Every value at levels 1-3 lies below epsilon_0, so a sampled
+        # supremum is never a tower: the ladder answers the closed form or
+        # the budget refuses.
+        closed = {1: add, 2: mul, 3: lambda x, y: pow_(x, y, B)}
+        try:
+            got = synth(n, x, y, EvalBudget(max_depth=16))
+        except BudgetExceeded:
+            return
+        assert got == closed[n](x, y)
+
+
+def _plain_sup(ctx, n, alpha, lam, depth):
+    # Every sample evaluated from scratch: the route before chaining.
+    return sample_and_infer(lambda gamma: _eval(ctx, n, alpha, gamma, depth + 1), lam, ctx)
+
+
+def _traced(n, alpha, beta, budget):
+    """(value or exception type, work steps, memo entries) of a fresh evaluation."""
+    ctx = _SynthCtx(budget, None)
+    try:
+        value = _eval(ctx, n, alpha, beta, 0)
+    except (BudgetExceeded, NotRepresentable) as err:
+        value = type(err)
+    return value, ctx.work, len(ctx.memo)
+
+
+class TestChainedSamples:
+    """Samples w^g*k at levels 2 and 3 are built from sample k - 1.
+
+    The chain must give what the plain route gives, value, refusal, work
+    steps and memo entries alike, since budgets and shared memos read all
+    of them.
+    """
+
+    def _agree(self, monkeypatch, cases):
+        for n, x, y, budget in cases:
+            chained = _traced(n, x, y, budget)
+            with monkeypatch.context() as m:
+                m.setattr(synthesis, "_sup", _plain_sup)
+                plain = _traced(n, x, y, budget)
+            assert chained == plain, (n, x, y, budget)
+
+    def test_matches_the_plain_route_on_random_trees(self, monkeypatch):
+        rng = random.Random(0)
+        pairs = [(rand_tree(rng, 3), rand_tree(rng, 3)) for _ in range(40)]
+        budgets = [EvalBudget(max_depth=24, sup_samples=k) for k in (8, 16)]
+        self._agree(monkeypatch, [
+            (n, x, y, budget) for budget in budgets for n in (2, 3, 4) for x, y in pairs
+        ])
+
+    def test_matches_the_plain_route_under_tiny_bit_caps(self, monkeypatch):
+        # The level-3 fold's closed power refuses a non-principal
+        # H^(k-1) once k - 1 exceeds max_bits; the chain must refuse too.
+        value = lambda text: eval_expr(parse(text))
+        pairs = [("w+1", "w^2"), ("w*2+1", "w^3"), ("w^2+w", "w^(w+1)")]
+        self._agree(monkeypatch, [
+            (3, value(a), value(b), EvalBudget(max_bits=bits, sup_samples=16))
+            for bits in (1, 2, 3, 4, 6) for a, b in pairs
+        ])
+
+    @pytest.mark.parametrize("n, alpha, beta, samples, expected, work, entries", [
+        (2, "w+1", "w^3", 8, "w^4", 65, 23),
+        (2, "w^2+3", "w^(w+2)*2+w", 8, "w^(w+2)*2+w^3", 195, 67),
+        (3, "w+2", "w^2*3+w", 8, "w^(w^2*3+w)", 30, 17),
+        (3, "2", "w^3", 16, "w^(w^2)", 89, 47),
+        (2, "w^w+1", "w^(w^2+1)", 16, "w^(w^2+1)", 13578, 3408),
+        (3, "w", "w^(w+1)", 8, "w^(w^(w+1))", 107, 59),
+    ])
+    def test_work_and_memo_counts_are_pinned(self, n, alpha, beta, samples, expected, work, entries):
+        # Counts of the plain route, frozen: the chain charges the same steps.
+        value = lambda text: eval_expr(parse(text))
+        got = _traced(n, value(alpha), value(beta), EvalBudget(sup_samples=samples))
+        assert got == (value(expected), work, entries)
 
 
 class TestTransfiniteFixtures:
