@@ -142,23 +142,28 @@ def _sup(ctx: _SynthCtx, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Or
     fold's power refuses a non-principal H^(k-1) once k - 1 exceeds
     max_bits; past that point the sample takes the fold.
 
+    The chain relies on sample_and_infer's order, 0, 1, then lam[k] =
+    w^g*k for k = 0, 1, 2, ..., stopping at the first refusal: sample
+    k >= 2 always comes right after a finished sample k - 1, and sample
+    w^g (k = 1) has set H by then.  Level 1 is addition itself, with no
+    fold to chain.
+
     Level 4 and up need no chain: sample k's fold re-requests the k - 2
     values sample k - 1 already memoized, and memo hits cost nothing,
     so only one evaluation per sample is new there already.
     """
     depth += 1
     exp = lam.terms[0][0]
-    if n > 3 or not is_successor(exp):
+    if not 2 <= n <= 3 or not is_successor(exp):
         return sample_and_infer(lambda gamma: _eval(ctx, n, alpha, gamma, depth), lam, ctx)
     g = predecessor(exp)
-    head = prev = None  # the values of samples w^g and w^g*prev_k
-    prev_k = 0
+    head = prev = None  # the values of sample w^g and of the last sample
 
     def eval_at(gamma: Ordinal) -> Ordinal:
-        nonlocal head, prev, prev_k
+        nonlocal head, prev
         terms = gamma.terms
         k = terms[0][1] if len(terms) == 1 and terms[0][0] is g else 0
-        if k < 2 or prev_k != k - 1 or (n == 3 and k - 1 > ctx.budget.max_bits):
+        if k < 2 or (n == 3 and k - 1 > ctx.budget.max_bits):
             value = _eval(ctx, n, alpha, gamma, depth)
         else:
             key = (n, alpha, gamma)
@@ -171,7 +176,7 @@ def _sup(ctx: _SynthCtx, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Or
                 ctx.memo[key] = value
         if k == 1:
             head = value
-        prev, prev_k = value, k
+        prev = value
         return value
 
     return sample_and_infer(eval_at, lam, ctx)

@@ -108,11 +108,11 @@ def _plain_sup(ctx, n, alpha, lam, depth):
     return sample_and_infer(lambda gamma: _eval(ctx, n, alpha, gamma, depth + 1), lam, ctx)
 
 
-def _traced(n, alpha, beta, budget):
+def _traced(n, alpha, beta, budget, entry=_eval):
     """(value or exception type, work steps, memo entries) of a fresh evaluation."""
     ctx = _SynthCtx(budget, None)
     try:
-        value = _eval(ctx, n, alpha, beta, 0)
+        value = entry(ctx, n, alpha, beta, 0)
     except (BudgetExceeded, NotRepresentable) as err:
         value = type(err)
     return value, ctx.work, len(ctx.memo)
@@ -126,21 +126,35 @@ class TestChainedSamples:
     of them.
     """
 
-    def _agree(self, monkeypatch, cases):
+    def _agree(self, monkeypatch, cases, entry=_eval):
         for n, x, y, budget in cases:
-            chained = _traced(n, x, y, budget)
+            chained = _traced(n, x, y, budget, entry)
             with monkeypatch.context() as m:
                 m.setattr(synthesis, "_sup", _plain_sup)
-                plain = _traced(n, x, y, budget)
+                plain = _traced(n, x, y, budget, entry)
             assert chained == plain, (n, x, y, budget)
 
     def test_matches_the_plain_route_on_random_trees(self, monkeypatch):
+        # Levels 4 and up never reach a level-2 or level-3 supremum (their
+        # folds at level 3 use the closed power), so they are not swept.
         rng = random.Random(0)
         pairs = [(rand_tree(rng, 3), rand_tree(rng, 3)) for _ in range(40)]
         budgets = [EvalBudget(max_depth=24, sup_samples=k) for k in (8, 16)]
         self._agree(monkeypatch, [
-            (n, x, y, budget) for budget in budgets for n in (2, 3, 4) for x, y in pairs
+            (n, x, y, budget) for budget in budgets for n in (2, 3) for x, y in pairs
         ])
+
+    def test_sup_limit_matches_the_plain_route_at_every_level(self, monkeypatch):
+        # sup_limit reaches _sup at any level n >= 1, where _eval answers
+        # level 1 before sampling; only levels 2 and 3 may take the chain.
+        value = lambda text: eval_expr(parse(text))
+        pairs = [("w", "w"), ("w+1", "w^2"), ("2", "w^3"), ("w^2+3", "w^(w+1)")]
+        self._agree(monkeypatch, [
+            (n, value(a), value(b), EvalBudget(max_depth=24))
+            for n in (1, 2, 3, 4) for a, b in pairs
+        ], entry=synthesis._principal_sup)
+        assert sup_limit(1, W, W, B) == add(W, W)
+        assert sup_limit(1, W, W2, B) == W2
 
     def test_matches_the_plain_route_under_tiny_bit_caps(self, monkeypatch):
         # The level-3 fold's closed power refuses a non-principal
