@@ -7,18 +7,19 @@ rules are tried in a fixed order:
 
   CONSTANT_TAIL      three identical trailing values; the sup is that value
                      joined with the maximum of the earlier samples
+  TOWER_GROWTH       the last three heights strictly increase; the value
+                     escapes every w-tower, i.e. is not below epsilon_0
   PREFIX_PEEL        the increasing tail shares a literal CNF term prefix;
                      peel it and infer the remainder sequence
   EXPONENT_GROWTH    leading exponents strictly increase; the sup is
                      w ** (inferred lub of those exponents)
   COEFFICIENT_GROWTH fixed leading exponent w^e with strictly increasing
                      leading coefficients; the sup is w^(e+1)
-  TOWER_GROWTH       normal-form height strictly increases; the value
-                     escapes every w-tower, i.e. is not below epsilon_0
 
-A rule that matches structurally but whose recursive sub-inference finds
-no pattern falls through to the next rule.  TOWER_GROWTH raises
-NotRepresentable; if nothing fires, NoPatternError carries the samples.
+TOWER_GROWTH reads only the whole run and raises NotRepresentable.
+PREFIX_PEEL and EXPONENT_GROWTH recurse; one whose sub-inference finds no
+pattern falls through to the next rule.  If nothing fires, NoPatternError
+carries the samples.
 
 The inferred value is exact whenever the sampled function is weakly
 increasing and the sample points are cofinal in the limit, which holds for
@@ -67,6 +68,18 @@ def classify_lub(samples: Sequence[Ordinal]) -> Tuple[Ordinal, LubInference]:
     if samples[-1] == samples[-2] == samples[-3]:
         return max(samples), LubInference.CONSTANT_TAIL
 
+    # TOWER_GROWTH.  By induction on the leading exponent, a <= b implies
+    # cnf_height(a) <= cnf_height(b), so climbing heights are climbing
+    # values, and no window of the tail reads a value from them: a shared
+    # prefix or a fixed leading exponent means equal heights, and the
+    # exponents climb too.  With a == 0 the tail's leading zero is dropped,
+    # and two values are too few for a trend ([0, 1, w] has no pattern).
+    a, b, c = cnf_height(samples[-3]), cnf_height(samples[-2]), cnf_height(samples[-1])
+    if 0 < a < b < c:
+        raise NotRepresentable(
+            "samples climb a w-tower; the supremum is not below epsilon_0", samples
+        )
+
     # Everything else needs a strictly increasing tail to read a trend from.
     run = _increasing_tail(samples)
     value, rule = _infer_increasing(run, samples)
@@ -83,13 +96,10 @@ def _tower_preview(samples: List[Ordinal]) -> bool:
     """Cheap filter for the in-flight tower check.
 
     A run heading straight for epsilon_0 keeps climbing in height with
-    every sample.  Only that sustained shape justifies paying for a
-    mid-run classification; anything else waits for the final inference
-    over the full run, which stays authoritative.  Heights alone suffice:
-    a <= b forces a's leading exponent <= b's, and the height is one more
-    than the leading exponent's, so by induction a <= b implies
-    cnf_height(a) <= cnf_height(b).  Strictly climbing heights therefore
-    already mean strictly climbing values.
+    every sample.  Only that sustained shape justifies a mid-run
+    classification; anything else waits for the final inference over the
+    full run, which stays authoritative.  Four climbing heights make
+    classify_lub's tower test fire, so the classification always raises.
     """
     a, b, c, d = map(cnf_height, samples[-4:])
     return a < b < c < d
@@ -110,7 +120,7 @@ def _infer_increasing(run: List[Ordinal], trace) -> Tuple[Ordinal, LubInference]
     its tail peels to w*2 + k).  Dropping leading entries is sound: the
     run is strictly increasing, so any trailing window's lub dominates
     everything dropped.  A leading zero is dropped first, and at least
-    three entries must remain.  NotRepresentable propagates immediately.
+    three entries must remain.
     """
     if run[0] is ZERO:
         run = run[1:]
@@ -153,13 +163,6 @@ def _lub_of_increasing(run: List[Ordinal], trace) -> Tuple[Ordinal, LubInference
         if all(a < b for a, b in zip(coeffs, coeffs[1:])):
             return omega_power(successor(first_exp)), LubInference.COEFFICIENT_GROWTH
 
-    # TOWER_GROWTH.
-    heights = [cnf_height(s) for s in run]
-    if all(a < b for a, b in zip(heights, heights[1:])):
-        raise NotRepresentable(
-            "samples climb a w-tower; the supremum is not below epsilon_0", trace
-        )
-
     raise NoPatternError("samples match no growth rule", trace)
 
 
@@ -187,29 +190,25 @@ def sample_and_infer(
 
     Samples eval_at(0), eval_at(1), then eval_at(lam[k]) for
     k < meter.budget.sup_samples, with eval_at counting its work on
-    meter.  Two tolerances keep hard cases useful:
+    meter.  Once the two seed probes have at least four
+    fundamental-sequence values behind them, a check runs after each new
+    sample that only acts when it proves the sup escapes epsilon_0,
+    cutting off ever larger towers early.  Checking sooner would mistake
+    a benign height climb for a tower: the probes 0 and 1 sit far below
+    any infinite sample, and the first fundamental-sequence values of a
+    nested limit climb once or twice before their height flattens.  A
+    genuine tower keeps climbing, so waiting costs one sample.
+    Successful value inferences always use the full run.
 
-      * if a later sample exceeds the budget, the prefix gathered so far
-        (at least 3 values) is still inferred from, since further samples
-        only refine an already visible trend.  The refused sample gives
-        its work back, so the rest of the evaluation has room to finish;
-        completed samples keep theirs and stay memoized;
-      * once the two seed probes have at least four fundamental-sequence
-        values behind them, a check runs after each new sample that only
-        acts when it proves the sup escapes epsilon_0, cutting off ever
-        larger towers early.  Checking sooner would mistake a benign
-        height climb for a tower: the probes 0 and 1 sit far below any
-        infinite sample, and the first fundamental-sequence values of a
-        nested limit climb once or twice before their height flattens.
-        A genuine tower keeps climbing, so waiting costs one sample.
-        Successful value inferences always use the full run.
-
-    NotRepresentable from a sample itself, or from the in-flight check, is
-    final: the sampled function is weakly increasing here, so any sample at
-    or above epsilon_0 pins the supremum there too.  A run the budget cut
-    short never concludes a tower, though: its few samples may show only
-    the early height climb, so that verdict becomes the refusal that cut
-    the run.
+    NotRepresentable from a sample itself, or from the in-flight check,
+    is final: the sampled function is weakly increasing here, so any
+    sample at or above epsilon_0 pins the supremum there too.  A sample
+    that exceeds the budget cuts the run and gives its work back, so the
+    rest of the evaluation has room to finish; completed samples keep
+    theirs and stay memoized.  A cut run of at least 3 samples is still
+    inferred from, since further samples only refine a visible trend; if
+    it gives no value, the refusal that cut it is the answer, as its few
+    samples may show only the early height climb or no trend yet.
     """
     gammas = [ZERO, ONE] + fundamental_prefix(lam, meter.budget.sup_samples)
     samples: List[Ordinal] = []
@@ -225,19 +224,17 @@ def sample_and_infer(
             cut = err
             break
         if len(samples) >= 6 and _tower_preview(samples):
-            try:
-                classify_lub(samples)
-            except NoPatternError:
-                pass
+            classify_lub(samples)  # raises NotRepresentable
     try:
         return infer_lub(samples)
     except NotRepresentable:
         if cut is None:
             raise
-        raise cut
     except NoPatternError as err:
-        rendered = ", ".join(str(s) for s in samples)
-        raise BudgetExceeded(
-            f"no growth rule matched after {len(samples)} samples: [{rendered}]",
-            samples,
-        ) from err
+        if cut is None:
+            rendered = ", ".join(str(s) for s in samples)
+            raise BudgetExceeded(
+                f"no growth rule matched after {len(samples)} samples: [{rendered}]",
+                samples,
+            ) from err
+    raise cut

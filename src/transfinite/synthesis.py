@@ -302,9 +302,9 @@ def _naive(ctx: _SynthCtx, n: int, alpha: Ordinal, beta: Ordinal, depth: int) ->
             value = sample_and_infer(
                 lambda gamma: _naive(ctx, n, alpha, gamma, depth + 1), lam, ctx
             )
-        if m and n == 2:
+        if n == 2:
             # The m successor steps are each add(alpha, .); fold them at once.
-            value = add(_repeat_add(ctx, alpha, m, depth), value)
+            value = _combine_run(ctx, 1, alpha, m, value, depth)
         else:
             for _ in range(m):
                 value = _naive(ctx, n - 1, alpha, value, depth + 1)
@@ -329,9 +329,10 @@ def distributes(
     """Check the unit decomposition of beta against a direct evaluation.
 
     Splits beta into its additive units, evaluates each unit through the
-    public entry point with a fresh context, folds the values at level
-    n - 1, and compares with synth(n, alpha, beta) computed separately.
-    beta must have at least two units for the fold to exist.
+    public entry point with a fresh context, folds those values at level
+    n - 1 by _fold over a memo holding only them, and compares with
+    synth(n, alpha, beta) computed separately.  beta must have at least
+    two units for the fold to exist.
     """
     _check_args(n, alpha, beta)
     if n < 2:
@@ -343,15 +344,11 @@ def distributes(
 
     direct = synth(n, alpha, beta, budget)
 
-    fold_ctx = _SynthCtx(budget, None)
-    folded: Optional[Ordinal] = None
-    for exp, count in reversed(beta.terms):
-        head = synth(n, alpha, omega_power(exp), budget)
-        if folded is None:
-            folded = head
-            count -= 1
-        folded = _combine_run(fold_ctx, n - 1, head, count, folded, 0)
-    assert folded is not None
+    units: Memo = {}
+    for exp, _ in reversed(beta.terms):
+        unit = omega_power(exp)
+        units[(n, alpha, unit)] = synth(n, alpha, unit, budget)
+    folded = _fold(_SynthCtx(budget, units), n, alpha, beta, 0)
     return DistributionCheck(folded, direct, folded == direct)
 
 

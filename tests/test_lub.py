@@ -7,14 +7,17 @@ the exponents, strictly increasing coefficients over w^e give w^(e+1),
 and strictly increasing heights leave epsilon_0's reach entirely.
 """
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import ordinals
 from support import W, nat
 
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget, Meter
 from transfinite.errors import BudgetExceeded, NoPatternError, NotRepresentable
 from transfinite.lub import LubInference, classify_lub, infer_lub, sample_and_infer
-from transfinite.ordinal import ONE, ZERO, omega_power
+from transfinite.ordinal import ONE, ZERO, cnf_height, omega_power
 
 B = EvalBudget()
 W2 = pow_(W, nat(2), B)
@@ -100,6 +103,33 @@ class TestTowerGrowth:
         value, rule = classify_lub(run)
         assert rule is LubInference.EXPONENT_GROWTH
 
+    @pytest.mark.parametrize("where", ["remainders", "exponents"])
+    def test_climbing_sub_run_is_not_a_tower(self, where):
+        # Every sample lies below w^(w^w)*2 or w^(w^(w^w)*2); only the
+        # peeled remainders [1, w, w^w], or the exponents' remainders,
+        # climb in height, and that is no reason to leave epsilon_0.
+        head = pow_(W, WW, B)
+        sub = [ONE, W, WW]
+        run = [add(head, s) for s in sub]
+        if where == "exponents":
+            run = [omega_power(s) for s in run]
+        with pytest.raises(NoPatternError):
+            classify_lub(run)
+
+    @settings(max_examples=200)
+    @given(st.sets(ordinals(), min_size=3, max_size=6))
+    def test_tower_verdict_is_the_last_three_heights(self, values):
+        run = sorted(values)
+        a, b, c = (cnf_height(s) for s in run[-3:])
+        tower = False
+        try:
+            classify_lub(run)
+        except NotRepresentable:
+            tower = True
+        except NoPatternError:
+            pass
+        assert tower == (0 < a < b < c)
+
 
 class TestNoPattern:
     def test_too_few_samples(self):
@@ -109,6 +139,12 @@ class TestNoPattern:
     def test_no_usable_increasing_tail(self):
         with pytest.raises(NoPatternError):
             classify_lub([W, W, mul(W, nat(2))])
+
+    def test_zero_third_to_last_sample(self):
+        # Heights 0, 1, 2 climb, but the zero is the tail's leading zero
+        # and [1, w] is too short to read a trend from.
+        with pytest.raises(NoPatternError):
+            classify_lub([ZERO, ONE, W])
 
     def test_shapeless_run(self):
         # [1, 2, w]: no prefix, exponents 0,0,1 not strict, exponent not
@@ -226,6 +262,22 @@ class TestSampleAndInfer:
 
         # Four climbing heights alone are the early climb of many benign
         # runs; the refusal that cut the run is the answer.
+        with pytest.raises(BudgetExceeded, match="synthetic"):
+            sample_and_infer(f, W, Meter(B))
+
+    def test_cut_run_without_a_pattern_reports_its_cut(self):
+        stages = [ONE, omega_power(pow_(W, nat(5), B)), ONE]
+        calls = 0
+
+        def f(g):
+            nonlocal calls
+            calls += 1
+            if calls > len(stages):
+                raise BudgetExceeded("synthetic")
+            return stages[calls - 1]
+
+        # No rule reads [1, w^(w^5), 1]; the cap that cut the run is the
+        # cause, not a missing pattern.
         with pytest.raises(BudgetExceeded, match="synthetic"):
             sample_and_infer(f, W, Meter(B))
 
