@@ -6,6 +6,16 @@ verdicts are asymmetric: a refutation carries a concrete witness pair and
 is re-checkable, while a confirmation only says "main on this sample" --
 no pair drawn from a fixed, deterministic candidate lattice escaped.
 
+Each candidate is settled by a monotone search.  The ladder grows weakly
+in both arguments, so the least escaping pair in (alpha, beta) order --
+the first pair a scan of every alpha, then every beta, would return --
+is found by bisecting alpha at the largest beta below delta, then beta
+at that alpha (beta is scanned when alpha <= 1, where the ladder is not
+monotone in beta).  A candidate whose search meets a refusal of the
+budget is settled again from the start by that scan, which skips the
+refused pairs; a verdict's pairs_skipped counts the refusals of the
+route that decided it, so it is 0 whenever the search decides.
+
 The reports pair the confirmed infinite mains, in order, against the
 ladder values synth(i+1, w, w^rank), rank = 0, 1, 2, ...  Ranks are
 0-indexed: rank 0 pairs with the smallest infinite main.
@@ -14,12 +24,14 @@ ladder values synth(i+1, w, w^rank), rank = 0, 1, 2, ...  Ranks are
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .budget import EvalBudget
 from .errors import BudgetExceeded, NotRepresentable, OrdinalDomainError
-from .ordinal import OMEGA, ZERO, Ordinal, check_natural, from_natural, omega_power
+from .ordinal import OMEGA, ONE, ZERO, Ordinal, check_natural, from_natural, omega_power
 from .synthesis import Memo, synth
 
 __all__ = [
@@ -58,6 +70,11 @@ def candidate_lattice(
     # Ordered dicts, not sets: identity hashes must not steer the sorts below.
     pool = dict.fromkeys([ZERO])
     for _ in range(depth):
+        # Each (combo, coeffs) below is a distinct normal form, so this
+        # count is a lower bound on the size of the grown pool.
+        fresh = sum(math.comb(len(pool), r) * coeff**r for r in range(1, terms + 1))
+        if fresh > LATTICE_CAP:
+            raise BudgetExceeded(f"candidate lattice exceeds {LATTICE_CAP} entries")
         exponents = sorted(pool, reverse=True)
         grown = dict.fromkeys(pool)
         for r in range(1, terms + 1):
@@ -120,13 +137,68 @@ def _classify(
     budget: EvalBudget,
     memo: Memo,
 ) -> MainVerdict:
-    below = [x for x in entries if x < delta]
+    below = entries[: bisect_left(entries, delta)]
+    try:
+        return _search(i, delta, below, budget, memo)
+    except BudgetExceeded:
+        return _scan(i, delta, below, budget, memo)
+
+
+def _search(
+    i: int,
+    delta: Ordinal,
+    below: Sequence[Ordinal],
+    budget: EvalBudget,
+    memo: Memo,
+) -> MainVerdict:
+    """The least escaping pair in (alpha, beta) order, found by bisection.
+
+    A pair escapes when its value is >= delta or not representable.  The
+    ladder grows weakly in both arguments, so escaping at beta_max is
+    monotone in alpha, and at alpha >= 2 escaping is monotone in beta.
+    For alpha <= 1 beta is scanned: 0^beta is not monotone at level 3
+    and S(n, 0, beta) alternates from level 4.  A refusal propagates.
+    """
+    values = {}
+
+    def escapes(alpha: Ordinal, beta: Ordinal) -> bool:
+        try:
+            value = synth(i, alpha, beta, budget, memo=memo)
+        except NotRepresentable:
+            value = None  # certainly >= epsilon_0 > delta
+        values[alpha, beta] = value
+        return value is None or value >= delta
+
+    # bisect_left over the keys False... True finds the first escape.
+    a = bisect_left(below, True, key=lambda x: escapes(x, below[-1]))
+    if a == len(below):
+        return MainVerdict(delta, True, None, None, 0)
+    alpha = below[a]
+    if alpha > ONE:
+        # (alpha, beta_max) escapes, so the search stops below it.
+        b = bisect_left(below, True, hi=len(below) - 1, key=lambda y: escapes(alpha, y))
+    else:
+        b = next(k for k, y in enumerate(below) if escapes(alpha, y))
+    beta = below[b]
+    return MainVerdict(delta, False, (alpha, beta), values[alpha, beta], 0)
+
+
+def _scan(
+    i: int,
+    delta: Ordinal,
+    below: Sequence[Ordinal],
+    budget: EvalBudget,
+    memo: Memo,
+) -> MainVerdict:
+    """Every alpha in order, then beta in order; refusals are counted."""
     beta_max = below[-1] if below else None
     skipped = 0
     for alpha in below:
-        # Probe at the largest beta first: ladder values grow weakly in
-        # beta for alpha >= 2, and for alpha <= 1 every value is <= 1,
-        # catchable only at delta = 1 where beta_max = 0 is the probe.
+        # Probe at the largest beta first and scan beta only if that
+        # escapes.  Values grow weakly in beta for alpha >= 2, and for
+        # alpha <= 1 at levels 1 and 2.  For alpha <= 1 from level 3 on
+        # every value is <= 1, which reaches delta only at delta = 1,
+        # where beta_max = 0 is the only beta.
         scan_needed = True
         if beta_max is not None:
             try:

@@ -1,5 +1,7 @@
 """Closure scanning: candidate lattices, verdicts with witnesses, and the
 deterministic report JSON."""
+import hashlib
+import itertools
 import json
 
 import pytest
@@ -8,6 +10,7 @@ from support import W, nat
 
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget
+from transfinite import mains
 from transfinite.errors import BudgetExceeded, OrdinalDomainError
 from transfinite.mains import (
     DEFAULT_LATTICE_SPEC,
@@ -16,7 +19,7 @@ from transfinite.mains import (
     enumerate_main_numbers,
     is_main_number,
 )
-from transfinite.ordinal import ONE, ZERO
+from transfinite.ordinal import ONE, ZERO, Ordinal
 from transfinite.synthesis import synth
 
 B = EvalBudget()
@@ -53,9 +56,47 @@ class TestCandidateLattice:
             with pytest.raises(OrdinalDomainError):
                 candidate_lattice(**kw)
 
-    def test_runaway_spec_is_capped(self):
+    def test_runaway_spec_is_capped(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(mains, "Ordinal", lambda terms: built.append(terms) or Ordinal(terms))
         with pytest.raises(BudgetExceeded):
             candidate_lattice(depth=3, coeff=30, terms=3)
+        # Refused by its size before depth 2 builds a single entry.
+        assert len(built) == 30
+
+    def test_size_check_agrees_with_the_loop(self, monkeypatch):
+        # The up-front count refuses exactly the specs the building loop
+        # refuses, with the same message, and changes no lattice it builds.
+        def by_loop(depth, coeff, terms):
+            pool = dict.fromkeys([ZERO])
+            for _ in range(depth):
+                exponents = sorted(pool, reverse=True)
+                grown = dict.fromkeys(pool)
+                for r in range(1, terms + 1):
+                    for combo in itertools.combinations(exponents, r):
+                        for coeffs in itertools.product(range(1, coeff + 1), repeat=r):
+                            grown[Ordinal(tuple(zip(combo, coeffs)))] = None
+                            if len(grown) > mains.LATTICE_CAP:
+                                raise BudgetExceeded(
+                                    f"candidate lattice exceeds {mains.LATTICE_CAP} entries"
+                                )
+                pool = grown
+            return sorted(pool)
+
+        def outcome(build, spec):
+            try:
+                return build(*spec)
+            except BudgetExceeded as exc:
+                return str(exc)
+
+        refused = 0
+        for cap in (30, 300, 3000):
+            monkeypatch.setattr(mains, "LATTICE_CAP", cap)
+            for spec in itertools.product((1, 2, 3), (1, 2, 4), (1, 2, 3)):
+                want = outcome(by_loop, spec)
+                assert outcome(candidate_lattice, spec) == want, (cap, spec)
+                refused += isinstance(want, str)
+        assert 0 < refused < 81
 
 
 class TestIsMainNumber:
@@ -159,3 +200,56 @@ class TestReportJson:
         for ref in report.refuted:
             assert ref.alpha < ref.candidate and ref.beta < ref.candidate
             assert synth(1, ref.alpha, ref.beta, B) >= ref.candidate
+
+
+class TestSearch:
+    """The monotone search settles each candidate as the plain scan does."""
+
+    @staticmethod
+    def _routes(i, bound):
+        entries = candidate_lattice(bound=bound)
+        searched, scanned = {}, {}
+        for k, delta in enumerate(entries[1:], 1):
+            a = mains._classify(i, delta, entries, B, searched)
+            b = mains._scan(i, delta, entries[:k], B, scanned)
+            yield a[:4], b[:4]
+
+    @pytest.mark.parametrize("i, bound", [
+        (1, pow_(W, pow_(W, nat(3), B), B)),
+        (2, pow_(W, pow_(W, nat(2), B), B)),
+        (3, pow_(W, pow_(W, nat(2), B), B)),
+        (4, pow_(W, W, B)),
+        (5, pow_(W, nat(3), B)),
+    ])
+    def test_same_verdicts_as_the_scan(self, i, bound):
+        for searched, scanned in self._routes(i, bound):
+            assert searched == scanned
+
+    def test_refusal_falls_back_to_the_scan(self, monkeypatch):
+        # w*2 is refuted by (w, w); refusing that pair leaves the scan,
+        # and so the search, unable to refute it.
+        delta = mul(W, nat(2))
+        entries = candidate_lattice()
+        below = [x for x in entries if x < delta]
+
+        def refusing(i, alpha, beta, budget, memo):
+            if (alpha, beta) == (W, W):
+                raise BudgetExceeded("refused for the test")
+            return synth(i, alpha, beta, budget, memo=memo)
+
+        monkeypatch.setattr(mains, "synth", refusing)
+        verdict = mains._classify(1, delta, entries, B, {})
+        assert verdict == mains._scan(1, delta, below, B, {})
+        assert verdict.main and verdict.pairs_skipped == 2
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("i, bound, sha", [
+        (2, pow_(W, pow_(W, nat(3), B), B),
+         "e4ba830971c11696958a843b11781ecc53fbf9648d700ce135e391215cd285fe"),
+        (1, pow_(W, nat(5), B),
+         "2fcf78fca328a7a37b5ad222833ede153ebf14b95c34b19adb83394927ce8546"),
+    ])
+    def test_report_sha256(self, i, bound, sha):
+        text = json.dumps(enumerate_main_numbers(i, bound).json_dict(), indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == sha
