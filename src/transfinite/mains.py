@@ -67,26 +67,22 @@ def candidate_lattice(
     """
     for name, v in (("depth", depth), ("coeff", coeff), ("terms", terms)):
         check_natural(v, f"lattice {name}", 1)
-    # Ordered dicts, not sets: identity hashes must not steer the sorts below.
-    pool = dict.fromkeys([ZERO])
+    pool = [ZERO]
     for _ in range(depth):
-        # Each (combo, coeffs) below is a distinct normal form, so this
-        # count is a lower bound on the size of the grown pool.
+        # Each (combo, coeffs) below is a distinct normal form, and every
+        # nonzero member of pool is one of them (by induction over depth:
+        # pool only grows), so the grown pool holds exactly 1 + fresh.
         fresh = sum(math.comb(len(pool), r) * coeff**r for r in range(1, terms + 1))
-        if fresh > LATTICE_CAP:
+        if 1 + fresh > LATTICE_CAP:
             raise BudgetExceeded(f"candidate lattice exceeds {LATTICE_CAP} entries")
+        # exponents are sorted descending, so each combo already is
         exponents = sorted(pool, reverse=True)
-        grown = dict.fromkeys(pool)
-        for r in range(1, terms + 1):
-            for combo in itertools.combinations(exponents, r):
-                # exponents are sorted descending, so combo already is
-                for coeffs in itertools.product(range(1, coeff + 1), repeat=r):
-                    grown[Ordinal(tuple(zip(combo, coeffs)))] = None
-                    if len(grown) > LATTICE_CAP:
-                        raise BudgetExceeded(
-                            f"candidate lattice exceeds {LATTICE_CAP} entries"
-                        )
-        pool = grown
+        pool = [ZERO] + [
+            Ordinal(tuple(zip(combo, coeffs)))
+            for r in range(1, terms + 1)
+            for combo in itertools.combinations(exponents, r)
+            for coeffs in itertools.product(range(1, coeff + 1), repeat=r)
+        ]
     ordered = sorted(pool)
     if bound is not None:
         ordered = [x for x in ordered if x <= bound]
@@ -144,6 +140,22 @@ def _classify(
         return _scan(i, delta, below, budget, memo)
 
 
+def _escape(
+    i: int, delta: Ordinal, alpha: Ordinal, beta: Ordinal, budget: EvalBudget, memo: Memo
+) -> Tuple[bool, Optional[Ordinal]]:
+    """Whether the pair (alpha, beta) escapes delta, and its value.
+
+    A pair escapes when its value is >= delta or not representable; a
+    value that is not representable is None, and certainly >= epsilon_0
+    > delta.  A refusal of the budget propagates.
+    """
+    try:
+        value = synth(i, alpha, beta, budget, memo=memo)
+    except NotRepresentable:
+        return True, None
+    return value >= delta, value
+
+
 def _search(
     i: int,
     delta: Ordinal,
@@ -153,8 +165,7 @@ def _search(
 ) -> MainVerdict:
     """The least escaping pair in (alpha, beta) order, found by bisection.
 
-    A pair escapes when its value is >= delta or not representable.  The
-    ladder grows weakly in both arguments, so escaping at beta_max is
+    The ladder grows weakly in both arguments, so escaping at beta_max is
     monotone in alpha, and at alpha >= 2 escaping is monotone in beta.
     For alpha <= 1 beta is scanned: 0^beta is not monotone at level 3
     and S(n, 0, beta) alternates from level 4.  A refusal propagates.
@@ -162,12 +173,8 @@ def _search(
     values = {}
 
     def escapes(alpha: Ordinal, beta: Ordinal) -> bool:
-        try:
-            value = synth(i, alpha, beta, budget, memo=memo)
-        except NotRepresentable:
-            value = None  # certainly >= epsilon_0 > delta
-        values[alpha, beta] = value
-        return value is None or value >= delta
+        escaped, values[alpha, beta] = _escape(i, delta, alpha, beta, budget, memo)
+        return escaped
 
     # bisect_left over the keys False... True finds the first escape.
     a = bisect_left(below, True, key=lambda x: escapes(x, below[-1]))
@@ -191,34 +198,25 @@ def _scan(
     memo: Memo,
 ) -> MainVerdict:
     """Every alpha in order, then beta in order; refusals are counted."""
-    beta_max = below[-1] if below else None
     skipped = 0
     for alpha in below:
         # Probe at the largest beta first and scan beta only if that
         # escapes.  Values grow weakly in beta for alpha >= 2, and for
         # alpha <= 1 at levels 1 and 2.  For alpha <= 1 from level 3 on
         # every value is <= 1, which reaches delta only at delta = 1,
-        # where beta_max = 0 is the only beta.
-        scan_needed = True
-        if beta_max is not None:
-            try:
-                scan_needed = synth(i, alpha, beta_max, budget, memo=memo) >= delta
-            except NotRepresentable:
-                pass
-            except BudgetExceeded:
-                skipped += 1  # probe unsettled: fall back to the full scan
-        if not scan_needed:
-            continue
+        # where 0 is the only beta.
+        try:
+            if not _escape(i, delta, alpha, below[-1], budget, memo)[0]:
+                continue
+        except BudgetExceeded:
+            skipped += 1  # probe unsettled: fall back to the full scan
         for beta in below:
             try:
-                value = synth(i, alpha, beta, budget, memo=memo)
-            except NotRepresentable:
-                # Certainly >= epsilon_0 > delta: a genuine witness.
-                return MainVerdict(delta, False, (alpha, beta), None, skipped)
+                escaped, value = _escape(i, delta, alpha, beta, budget, memo)
             except BudgetExceeded:
                 skipped += 1
                 continue
-            if value >= delta:
+            if escaped:
                 return MainVerdict(delta, False, (alpha, beta), value, skipped)
     return MainVerdict(delta, True, None, None, skipped)
 

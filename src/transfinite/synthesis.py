@@ -127,12 +127,11 @@ def _sup(ctx: _SynthCtx, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Or
     """Supremum at lam = w^e by sampling, each sample at depth + 1.
 
     At levels 2 and 3 with a successor exponent e = g + 1 the samples
-    past the seeds are w^g*k, and _fold would build each one from
-    scratch as k copies of H = synth(n, alpha, w^g) folded at level
-    n - 1.  Instead sample k (k >= 2) is built from sample k - 1 as
-    <H, sample k-1> at level n - 1: one add(H, prev) at level 2, one
+    past the seeds are w^g*k, and sample k (k >= 2) is built from
+    sample k - 1 as <H, sample k-1> at level n - 1, with
+    H = synth(n, alpha, w^g): one add(H, prev) at level 2, one
     mul(H, prev) at level 3.  Addition and multiplication are
-    associative, so the value is the one the fold gives.
+    associative, so the value is the one _fold gives.
 
     The chain charges what the fold charges, all at the sample's own
     depth: one step for the sample plus (k-1).bit_length() doublings of
@@ -148,9 +147,12 @@ def _sup(ctx: _SynthCtx, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Or
     w^g (k = 1) has set H by then.  Level 1 is addition itself, with no
     fold to chain.
 
-    Level 4 and up need no chain: sample k's fold re-requests the k - 2
-    values sample k - 1 already memoized, and memo hits cost nothing,
-    so only one evaluation per sample is new there already.
+    Level 5 and up need no chain: the fold combines through the memoized
+    _eval, so only one evaluation per sample is new.  Level 4 combines
+    through _combine_run's unmemoized loop of closed powers, so sample k
+    makes all k - 1 of its powers again; that costs little only because
+    the tower cut or the bit cap ends such runs within a few samples
+    (S(4, 2, w^2) makes 13 pow_ calls at 8 samples and at 16).
     """
     depth += 1
     exp = lam.terms[0][0]

@@ -89,14 +89,24 @@ class TestCandidateLattice:
             except BudgetExceeded as exc:
                 return str(exc)
 
-        refused = 0
-        for cap in (30, 300, 3000):
+        cases = [
+            (cap, spec)
+            for cap in (30, 300, 3000)
+            for spec in itertools.product((1, 2, 3), (1, 2, 4), (1, 2, 3))
+        ]
+        # fresh == LATTICE_CAP: the default spec's depth 3 makes 155 new
+        # entries, so the zero alone takes the pool past a cap of 155.
+        cases += [(155, DEFAULT_LATTICE_SPEC), (156, DEFAULT_LATTICE_SPEC)]
+        outcomes = []
+        for cap, spec in cases:
             monkeypatch.setattr(mains, "LATTICE_CAP", cap)
-            for spec in itertools.product((1, 2, 3), (1, 2, 4), (1, 2, 3)):
-                want = outcome(by_loop, spec)
-                assert outcome(candidate_lattice, spec) == want, (cap, spec)
-                refused += isinstance(want, str)
-        assert 0 < refused < 81
+            want = outcome(by_loop, spec)
+            assert outcome(candidate_lattice, spec) == want, (cap, spec)
+            outcomes.append(want)
+        refused = sum(isinstance(want, str) for want in outcomes)
+        assert 0 < refused < len(cases)
+        assert outcomes[-2] == "candidate lattice exceeds 155 entries"
+        assert len(outcomes[-1]) == 156
 
 
 class TestIsMainNumber:
@@ -249,6 +259,13 @@ class TestReportBytes:
          "e4ba830971c11696958a843b11781ecc53fbf9648d700ce135e391215cd285fe"),
         (1, pow_(W, nat(5), B),
          "2fcf78fca328a7a37b5ad222833ede153ebf14b95c34b19adb83394927ce8546"),
+        # Reports the scan fallback decides: pairs_skipped 205, 92 and 529.
+        (4, pow_(W, W, B),
+         "8c5e844f2685d2d78a08983c575e09d17be590c9e7c5eed40b3dabb46c7bdec4"),
+        (5, pow_(W, nat(3), B),
+         "065752088354e066c36c3b74c5e7e858d3e71c4a513f952f16f1af29b4377875"),
+        (4, pow_(W, pow_(W, nat(2), B), B),
+         "675ac91a5210f1b6bc6eb22485f145ebb3f884add9622e8ba2e554addfb5c95a"),
     ])
     def test_report_sha256(self, i, bound, sha):
         text = json.dumps(enumerate_main_numbers(i, bound).json_dict(), indent=2) + "\n"
