@@ -83,13 +83,8 @@ def classify_lub(samples: Sequence[Ordinal]) -> Tuple[Ordinal, LubInference]:
     # Everything else needs a strictly increasing tail to read a trend from.
     run = _increasing_tail(samples)
     value, rule = _infer_increasing(run, samples)
-    # Samples before the tail can only matter if one of them is larger;
-    # sup(all) = max(sup(tail), max(rest)).
-    earlier = samples[: len(samples) - len(run)]
-    for s in earlier:
-        if s > value:
-            value = s
-    return value, rule
+    # sup(all) = max(sup(tail), the samples before the tail).
+    return max([value, *samples[: len(samples) - len(run)]]), rule
 
 
 def _tower_preview(samples: List[Ordinal]) -> bool:
@@ -167,18 +162,15 @@ def _lub_of_increasing(run: List[Ordinal], trace) -> Tuple[Ordinal, LubInference
 
 
 def _common_term_prefix(run: List[Ordinal]):
-    shortest = min(len(s.terms) for s in run)
-    prefix = []
-    for i in range(shortest):
-        term = run[0].terms[i]
-        if all(s.terms[i] == term for s in run[1:]):
-            prefix.append(term)
-        else:
-            break
-    # A prefix equal to the whole of a sample leaves an empty remainder
-    # only for the smallest element of a strictly increasing run, and
-    # _infer_increasing drops that leading zero.
-    return tuple(prefix)
+    # run is strictly increasing (_lub_of_increasing is the one caller), and
+    # the values that begin with a given term prefix form an interval of the
+    # order, so the first and last samples agree exactly where all do.  A
+    # prefix of all of run[0] leaves it 0, which _infer_increasing drops.
+    first, last = run[0].terms, run[-1].terms
+    for n, (a, b) in enumerate(zip(first, last)):
+        if a != b:
+            return first[:n]
+    return first
 
 
 def sample_and_infer(

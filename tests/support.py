@@ -76,6 +76,27 @@ def rand_tree(rng: random.Random, depth: int) -> Ordinal:
     return Ordinal([(e, rng.randint(1, 9)) for e in exps])
 
 
+def reference_compare(x: Ordinal, y: Ordinal) -> int:
+    """Three-way CNF comparison by a recursive term-by-term scan.
+
+    The definition `compare` and the order operators are checked against:
+    the first differing exponent decides, then the first differing
+    coefficient, then the longer term list.
+    """
+    if x is y:
+        return 0
+    for (e1, c1), (e2, c2) in zip(x.terms, y.terms):
+        c = reference_compare(e1, e2)
+        if c != 0:
+            return c
+        if c1 != c2:
+            return -1 if c1 < c2 else 1
+    n1, n2 = len(x.terms), len(y.terms)
+    if n1 == n2:
+        return 0
+    return -1 if n1 < n2 else 1
+
+
 def tree_corpus(count: int = 10000, depth: int = 3, seed: int = 4242) -> List[Ordinal]:
     rng = random.Random(seed)
     return [rand_tree(rng, depth) for _ in range(count)]

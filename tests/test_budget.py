@@ -1,9 +1,10 @@
 """The budget meter and the rules it enforces."""
 import pytest
 
+from transfinite.arithmetic import add
 from transfinite.budget import ENV_BITS, EvalBudget, Meter
 from transfinite.errors import BudgetExceeded
-from transfinite.ordinal import from_natural
+from transfinite.ordinal import OMEGA, from_natural
 
 
 class TestMeter:
@@ -33,6 +34,12 @@ class TestMeter:
         meter.check_size(from_natural(255))
         with pytest.raises(BudgetExceeded):
             meter.check_size(from_natural(256))
+
+    def test_check_size_reads_a_lower_term(self):
+        meter = Meter(EvalBudget(max_bits=64))
+        meter.check_size(add(OMEGA, from_natural(2 ** 64 - 1)))
+        with pytest.raises(BudgetExceeded, match="65-bit natural exceeds the 64-bit cap"):
+            meter.check_size(add(OMEGA, from_natural(2 ** 64)))
 
 
 class TestBitsRule:

@@ -1,6 +1,8 @@
 """Command line driver, run in process through main(argv)."""
 import io
 import json
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -126,6 +128,27 @@ class TestCmp:
         assert run(capsys, ["cmp", "2^w", "w"])[1] == "=\n"
         assert run(capsys, ["cmp", "w", "w+1"])[1] == "<\n"
         assert run(capsys, ["cmp", "w*2", "w"])[1] == ">\n"
+
+    # The deepest "w^(" nesting the parser takes in a fresh interpreter.
+    PARSER_LIMIT = 197 if sys.version_info < (3, 12) else 198
+
+    @pytest.mark.parametrize("extra, expected", [(0, (0, "<\n")), (1, (3, ""))])
+    def test_nesting_at_the_parser_limit(self, extra, expected):
+        # Two towers that differ only at the top, so the comparison takes
+        # the deepest path: at the parser's limit they compare, one level
+        # deeper the stack overflows and the command exits as a budget
+        # fault.  A fresh interpreter, as the console script starts, since
+        # the limit counts the frames below main().
+        levels = self.PARSER_LIMIT + extra
+        left, right = ("w^(" * levels + top + ")" * levels for top in "23")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from transfinite.cli import main; sys.exit(main())",
+             "cmp", left, right],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == expected
+        assert "Traceback" not in proc.stderr
 
 
 class TestTable:

@@ -16,8 +16,10 @@ from support import W, nat
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget, Meter
 from transfinite.errors import BudgetExceeded, NoPatternError, NotRepresentable
-from transfinite.lub import LubInference, classify_lub, infer_lub, sample_and_infer
-from transfinite.ordinal import ONE, ZERO, cnf_height, omega_power
+from transfinite.lub import (
+    LubInference, _common_term_prefix, classify_lub, infer_lub, sample_and_infer,
+)
+from transfinite.ordinal import ONE, ZERO, cnf_height, omega_power, successor
 
 B = EvalBudget()
 W2 = pow_(W, nat(2), B)
@@ -53,6 +55,41 @@ class TestPrefixPeel:
         head = mul(W, nat(2))
         samples = [W, head, add(head, ONE), add(head, nat(2)), add(head, nat(3))]
         assert classify_lub(samples) == (mul(W, nat(3)), LubInference.PREFIX_PEEL)
+
+
+def _prefix_by_scan(run):
+    # The literal prefix every sample shares, read off all of them.
+    prefix = []
+    for i in range(min(len(s.terms) for s in run)):
+        term = run[0].terms[i]
+        if any(s.terms[i] != term for s in run):
+            break
+        prefix.append(term)
+    return tuple(prefix)
+
+
+INCREASING_RUNS = st.lists(ordinals(), min_size=3, max_size=10, unique=True).map(sorted)
+
+
+class TestCommonTermPrefix:
+    # _common_term_prefix reads only the ends of a strictly increasing run.
+
+    @given(INCREASING_RUNS)
+    def test_ends_agree_with_every_sample(self, run):
+        assert _common_term_prefix(run) == _prefix_by_scan(run)
+
+    @given(INCREASING_RUNS, ordinals(), st.integers(1, 9), st.integers(1, 9))
+    def test_shared_prefix_added_to_each_value(self, run, lead, c1, c2):
+        # Adding on the left keeps a run strictly increasing.  The head
+        # w^(top+1)*c1 + w^top*c2 stays whole in front of every value, as
+        # each value's leading exponent is at most run[-1] < top.
+        top = successor(run[-1])
+        head = add(mul(omega_power(successor(top)), nat(c1)), mul(omega_power(top), nat(c2)))
+        for shift in (head, lead, add(head, lead)):
+            shifted = [add(shift, x) for x in run]
+            assert all(a < b for a, b in zip(shifted, shifted[1:]))
+            assert _common_term_prefix(shifted) == _prefix_by_scan(shifted)
+        assert _common_term_prefix([add(head, x) for x in run])[:2] == head.terms
 
 
 class TestExponentGrowth:

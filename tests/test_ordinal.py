@@ -1,7 +1,9 @@
 """Core data type: canonical form, interning, total order, structural helpers."""
 import copy
+import functools
 import gc
 import pickle
+import random
 import weakref
 
 import pytest
@@ -9,7 +11,7 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from conftest import ordinals
-from support import W, nat, pair_corpus_below_w_w2, tree_corpus, w_times_plus
+from support import W, nat, pair_corpus_below_w_w2, reference_compare, tree_corpus, w_times_plus
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.errors import OrdinalDomainError
 from transfinite.notation import eval_expr, parse
@@ -190,10 +192,56 @@ class TestOrder:
         if x <= y and y <= z:
             assert x <= z
 
+    def test_order_matches_the_term_scan_on_the_tree_corpus(self):
+        rng = random.Random(60412)
+        pairs = [(rng.choice(TREES), rng.choice(TREES)) for _ in range(20000)]
+        pairs += [(x, x) for x in TREES[:500]]
+        for x, y in pairs:
+            _assert_order_agrees(x, y)
+        by_scan = sorted(TREES, key=functools.cmp_to_key(reference_compare))
+        assert sorted(TREES) == by_scan
+        assert sorted(TREES, reverse=True) == by_scan[::-1]
+        assert max(TREES) is by_scan[-1] and min(TREES) is by_scan[0]
+
+    @given(ordinals(), ordinals())
+    def test_order_matches_the_term_scan(self, x, y):
+        for a, b in ((x, y), (y, x), (x, x)):
+            _assert_order_agrees(a, b)
+
+    def test_other_types_are_not_ordered(self):
+        for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(OMEGA, op)(1) is NotImplemented
+        with pytest.raises(TypeError):
+            OMEGA < 1
+        with pytest.raises(TypeError):
+            1 >= OMEGA
+
+    def test_towers_of_height_200(self):
+        # Tuple order recurses about four interpreter levels per nesting
+        # level; two towers that differ only at the top take the deepest
+        # path, and 200 stays clear of the default recursion limit.
+        low, high = nat(2), nat(3)
+        for _ in range(199):
+            low, high = omega_power(low), omega_power(high)
+        assert cnf_height(low) == cnf_height(high) == 200
+        assert compare(low, high) == -1 and compare(high, low) == 1
+        assert low < high and low <= high and high > low and high >= low
+        assert not high < low and low <= low and high >= high
+        assert sorted([high, low, high]) == [low, high, high]
+        assert max(low, high) is high and max(high, low) is high
+
     @given(ordinals())
     def test_hash_consistent_with_eq(self, x):
         y = Ordinal(x.terms)
         assert x == y and hash(x) == hash(y)
+
+
+def _assert_order_agrees(x, y):
+    want = reference_compare(x, y)
+    assert compare(x, y) == want, (x, y)
+    assert (x < y, x <= y, x > y, x >= y) == (want < 0, want <= 0, want > 0, want >= 0), (x, y)
+    assert sorted([x, y]) == ([y, x] if want > 0 else [x, y])
+    assert max(x, y) is (x if want >= 0 else y)
 
 
 class TestPredicates:
@@ -258,6 +306,19 @@ class TestStructure:
         big = coefficient_bits(mul(W, nat(2 ** 40)))
         assert big > small + 30
 
+    def test_coefficient_bits_finds_the_widest_anywhere(self):
+        cases = {
+            # In a lower term.
+            add(mul(pow_(W, nat(2)), nat(3)), add(mul(W, nat(2 ** 100)), nat(5))): 101,
+            # Inside a lower term's exponent.
+            add(omega_power(pow_(W, W)),
+                add(mul(omega_power(w_times_plus(2 ** 50, 1)), nat(2)), nat(7))): 51,
+            # 20,000 bits wide, in the last term.
+            add(mul(W, nat(5)), nat(2 ** 20000 - 1)): 20000,
+        }
+        for x, bits in cases.items():
+            assert coefficient_bits(x) == _bits(x) == bits, x
+
     def test_omega_power(self):
         assert omega_power(ZERO) == ONE
         assert omega_power(ONE) == W
@@ -311,6 +372,14 @@ class TestFundamentalSequence:
             assert members == [member(lam, k) for k in range(16)], lam
             for n in range(17):
                 assert fundamental_prefix(lam, n) == members[:n], (lam, n)
+
+    def test_member_is_built_without_the_prefix(self):
+        # A prefix of 10**12 + 1 members would not fit in memory.
+        k = 10 ** 12
+        assert fundamental_sequence(pow_(W, nat(2)), k) == mul(W, nat(k))
+        assert fundamental_sequence(pow_(W, W), k) == pow_(W, nat(k))
+        assert fundamental_sequence(mul(omega_power(pow_(W, W)), nat(2)), k) == add(
+            omega_power(pow_(W, W)), omega_power(pow_(W, nat(k))))
 
     @given(ordinals(), st.integers(min_value=0, max_value=6))
     def test_sequence_climbs_strictly_below_its_limit(self, x, k):
