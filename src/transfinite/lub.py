@@ -17,9 +17,9 @@ rules are tried in a fixed order:
                      leading coefficients; the sup is w^(e+1)
 
 TOWER_GROWTH reads only the whole run and raises NotRepresentable.
-PREFIX_PEEL and EXPONENT_GROWTH recurse; one whose sub-inference finds no
-pattern falls through to the next rule.  If nothing fires, NoPatternError
-carries the samples.
+PREFIX_PEEL and EXPONENT_GROWTH recurse.  The rule search returns
+(value, rule) or None, and a rule whose sub-inference gives None yields
+to the next; only classify_lub raises NoPatternError, with the samples.
 
 The inferred value is exact whenever the sampled function is weakly
 increasing and the sample points are cofinal in the limit, which holds for
@@ -29,7 +29,7 @@ the operations in this package on every argument the growth rules accept.
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .arithmetic import add
 from .budget import Meter
@@ -82,7 +82,10 @@ def classify_lub(samples: Sequence[Ordinal]) -> Tuple[Ordinal, LubInference]:
 
     # Everything else needs a strictly increasing tail to read a trend from.
     run = _increasing_tail(samples)
-    value, rule = _infer_increasing(run, samples)
+    found = _infer_increasing(run)
+    if found is None:
+        raise NoPatternError("samples match no growth rule", samples)
+    value, rule = found
     # sup(all) = max(sup(tail), the samples before the tail).
     return max([value, *samples[: len(samples) - len(run)]]), rule
 
@@ -107,7 +110,7 @@ def _increasing_tail(samples: List[Ordinal]) -> List[Ordinal]:
     return samples[i:]
 
 
-def _infer_increasing(run: List[Ordinal], trace) -> Tuple[Ordinal, LubInference]:
+def _infer_increasing(run: List[Ordinal]) -> Optional[Tuple[Ordinal, LubInference]]:
     """Infer the lub of a strictly increasing run, retrying on suffixes.
 
     A run whose early entries come from seed stages can hide the trend
@@ -115,41 +118,34 @@ def _infer_increasing(run: List[Ordinal], trace) -> Tuple[Ordinal, LubInference]
     its tail peels to w*2 + k).  Dropping leading entries is sound: the
     run is strictly increasing, so any trailing window's lub dominates
     everything dropped.  A leading zero is dropped first, and at least
-    three entries must remain.
+    three entries must remain.  None when no window fits a rule.
     """
     if run[0] is ZERO:
         run = run[1:]
     for start in range(len(run) - 2):
-        try:
-            return _lub_of_increasing(run[start:], trace)
-        except NoPatternError:
-            continue
-    raise NoPatternError("samples match no growth rule", trace)
+        found = _lub_of_increasing(run[start:])
+        if found is not None:
+            return found
+    return None
 
 
-def _lub_of_increasing(run: List[Ordinal], trace) -> Tuple[Ordinal, LubInference]:
+def _lub_of_increasing(run: List[Ordinal]) -> Optional[Tuple[Ordinal, LubInference]]:
     # run: >= 3 strictly increasing nonzero ordinals.
 
     # PREFIX_PEEL.  The shared prefix must be literal (exponent and
     # coefficient alike); remainders are again strictly increasing.
     prefix = _common_term_prefix(run)
     if prefix:
-        try:
-            sub, _ = _infer_increasing([_ord(s.terms[len(prefix):]) for s in run], trace)
-        except NoPatternError:
-            pass
-        else:
-            return add(_ord(prefix), sub), LubInference.PREFIX_PEEL
+        sub = _infer_increasing([_ord(s.terms[len(prefix):]) for s in run])
+        if sub is not None:
+            return add(_ord(prefix), sub[0]), LubInference.PREFIX_PEEL
 
     # EXPONENT_GROWTH.
     exps = [s.terms[0][0] for s in run]
     if all(a < b for a, b in zip(exps, exps[1:])):
-        try:
-            sub, _ = _infer_increasing(exps, trace)
-        except NoPatternError:
-            pass
-        else:
-            return omega_power(sub), LubInference.EXPONENT_GROWTH
+        sub = _infer_increasing(exps)
+        if sub is not None:
+            return omega_power(sub[0]), LubInference.EXPONENT_GROWTH
 
     # COEFFICIENT_GROWTH.
     first_exp = run[0].terms[0][0]
@@ -158,7 +154,7 @@ def _lub_of_increasing(run: List[Ordinal], trace) -> Tuple[Ordinal, LubInference
         if all(a < b for a, b in zip(coeffs, coeffs[1:])):
             return omega_power(successor(first_exp)), LubInference.COEFFICIENT_GROWTH
 
-    raise NoPatternError("samples match no growth rule", trace)
+    return None
 
 
 def _common_term_prefix(run: List[Ordinal]):

@@ -51,8 +51,20 @@ from .ordinal import (
     successor,
 )
 
-_OPS = ("add", "mul", "pow")
+# op -> (value at 0, successor step, closed form).  The lambdas look up add,
+# mul, pow_ and successor when they run, so wrappers on this module see calls.
+_OPS = {
+    "add": (lambda x: x, lambda acc, x: successor(acc), lambda x, y, b: add(x, y)),
+    "mul": (lambda x: ZERO, lambda acc, x: add(acc, x), lambda x, y, b: mul(x, y)),
+    "pow": (lambda x: ONE, lambda acc, x: mul(acc, x), lambda x, y, b: pow_(x, y, b)),
+}
 _UNFOLD_DEPTH = 2
+
+
+def _op(op: str):
+    if op not in _OPS:
+        raise OrdinalDomainError(f"unknown operation {op!r}, expected one of {tuple(_OPS)}")
+    return _OPS[op]
 
 
 def reference_eval(
@@ -62,67 +74,41 @@ def reference_eval(
     budget: Optional[EvalBudget] = None,
 ) -> Ordinal:
     """Evaluate x <op> y by unfolding the defining recursion on y."""
-    return _Ctx(op, x, budget or EvalBudget()).eval(y, 0)
+    base, combine, closed = _op(op)
+    meter = Meter(budget or EvalBudget())
+    memo = {}
 
-
-class _Ctx(Meter):
-    __slots__ = ("op", "x", "memo")
-
-    def __init__(self, op: str, x: Ordinal, budget: EvalBudget):
-        if op not in _OPS:
-            raise OrdinalDomainError(f"unknown operation {op!r}, expected one of {_OPS}")
-        super().__init__(budget)
-        self.op = op
-        self.x = x
-        self.memo = {}
-
-    def base(self) -> Ordinal:
-        if self.op == "add":
-            return self.x
-        return ZERO if self.op == "mul" else ONE
-
-    def combine(self, acc: Ordinal) -> Ordinal:
-        # One successor step of the recursion.
-        if self.op == "add":
-            return successor(acc)
-        if self.op == "mul":
-            return add(acc, self.x)
-        return mul(acc, self.x)
-
-    def closed(self, y: Ordinal) -> Ordinal:
-        if self.op == "add":
-            return add(self.x, y)
-        if self.op == "mul":
-            return mul(self.x, y)
-        return pow_(self.x, y, self.budget)
-
-    def eval(self, y: Ordinal, depth: int) -> Ordinal:
-        self.step(depth)
-        hit = self.memo.get(y)
+    def unfold(y: Ordinal, depth: int) -> Ordinal:
+        meter.step(depth)
+        hit = memo.get(y)
         if hit is not None:
             return hit
         if depth >= _UNFOLD_DEPTH:
             # Below the unfolding horizon: supply the value inductively.
-            acc = self.closed(y)
-            self.memo[y] = acc
-            return acc
-        lam, m = limit_and_finite_parts(y)
-        if lam is ZERO:
-            acc = self.base()
+            acc = closed(x, y, meter.budget)
         else:
-            acc = self.memo.get(lam)
-            if acc is None:
-                acc = sample_and_infer(lambda g: self.eval(g, depth + 1), lam, self)
-                self.memo[lam] = acc
-        for _ in range(m):
-            self.step(depth)
-            acc = self.combine(acc)
-            self.check_size(acc)
-        self.memo[y] = acc
+            lam, m = limit_and_finite_parts(y)
+            if lam is ZERO:
+                acc = base(x)
+            else:
+                acc = memo.get(lam)
+                if acc is None:
+                    acc = sample_and_infer(lambda g: unfold(g, depth + 1), lam, meter)
+                    memo[lam] = acc
+            for _ in range(m):
+                meter.step(depth)
+                acc = combine(acc, x)
+                meter.check_size(acc)
+        memo[y] = acc
         return acc
+
+    try:
+        return unfold(y, 0)
+    finally:
+        del unfold  # it refers to itself; free the memo now, not at the next gc
 
 
 def reference_check(op: str, x: Ordinal, y: Ordinal, budget=None) -> bool:
     """True when the closed form and the recursion agree on (x, y)."""
     budget = budget or EvalBudget()
-    return _Ctx(op, x, budget).closed(y) == reference_eval(op, x, y, budget)
+    return _op(op)[2](x, y, budget) == reference_eval(op, x, y, budget)

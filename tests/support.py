@@ -7,7 +7,11 @@ import random
 from typing import List, Tuple
 
 from transfinite.arithmetic import add, mul
-from transfinite.ordinal import OMEGA, ZERO, Ordinal, compare, from_natural
+from transfinite.errors import NoPatternError, NotRepresentable
+from transfinite.lub import LubInference, _common_term_prefix, _increasing_tail
+from transfinite.ordinal import (
+    OMEGA, ZERO, Ordinal, _ord, cnf_height, compare, from_natural, omega_power, successor,
+)
 
 W = OMEGA
 
@@ -95,6 +99,64 @@ def reference_compare(x: Ordinal, y: Ordinal) -> int:
     if n1 == n2:
         return 0
     return -1 if n1 < n2 else 1
+
+
+def reference_classify(samples) -> Tuple[Ordinal, LubInference]:
+    """`classify_lub` with the rule search signalling failure by exception.
+
+    The definition `classify_lub` is checked against: every window with
+    no pattern raises NoPatternError, and a rule that catches it from its
+    sub-inference gives way to the next rule.
+    """
+    samples = list(samples)
+    if len(samples) < 3:
+        raise NoPatternError(f"need at least 3 samples, got {len(samples)}", samples)
+    if samples[-1] == samples[-2] == samples[-3]:
+        return max(samples), LubInference.CONSTANT_TAIL
+    a, b, c = (cnf_height(s) for s in samples[-3:])
+    if 0 < a < b < c:
+        raise NotRepresentable(
+            "samples climb a w-tower; the supremum is not below epsilon_0", samples
+        )
+    run = _increasing_tail(samples)
+    value, rule = _raising_infer(run, samples)
+    return max([value, *samples[: len(samples) - len(run)]]), rule
+
+
+def _raising_infer(run, trace):
+    if run[0] is ZERO:
+        run = run[1:]
+    for start in range(len(run) - 2):
+        try:
+            return _raising_lub(run[start:], trace)
+        except NoPatternError:
+            continue
+    raise NoPatternError("samples match no growth rule", trace)
+
+
+def _raising_lub(run, trace):
+    prefix = _common_term_prefix(run)
+    if prefix:
+        try:
+            sub, _ = _raising_infer([_ord(s.terms[len(prefix):]) for s in run], trace)
+        except NoPatternError:
+            pass
+        else:
+            return add(_ord(prefix), sub), LubInference.PREFIX_PEEL
+    exps = [s.terms[0][0] for s in run]
+    if all(a < b for a, b in zip(exps, exps[1:])):
+        try:
+            sub, _ = _raising_infer(exps, trace)
+        except NoPatternError:
+            pass
+        else:
+            return omega_power(sub), LubInference.EXPONENT_GROWTH
+    first_exp = run[0].terms[0][0]
+    if all(s.terms[0][0] == first_exp for s in run):
+        coeffs = [s.terms[0][1] for s in run]
+        if all(a < b for a, b in zip(coeffs, coeffs[1:])):
+            return omega_power(successor(first_exp)), LubInference.COEFFICIENT_GROWTH
+    raise NoPatternError("samples match no growth rule", trace)
 
 
 def tree_corpus(count: int = 10000, depth: int = 3, seed: int = 4242) -> List[Ordinal]:

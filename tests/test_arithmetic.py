@@ -1,5 +1,6 @@
 """Closed-form arithmetic against fixed vectors, algebraic laws, and the
 definitional evaluator as an independent route."""
+import gc
 import random
 
 import pytest
@@ -147,6 +148,24 @@ class TestReferenceRoute:
         for route in (reference_eval, reference_check):
             with pytest.raises(OrdinalDomainError):
                 route("foo", W, W)
+
+    @pytest.mark.parametrize("budget", [EvalBudget(), EvalBudget(max_depth=1)],
+                             ids=["answered", "refused"])
+    def test_leaves_no_cyclic_garbage(self, budget):
+        # The recursion is a closure that refers to itself; left as a cycle
+        # it would hold the memo of every call until the next collection.
+        y = add(omega_power(nat(2)), W)
+        gc.collect()
+        gc.disable()
+        try:
+            for op in ("add", "mul", "pow"):
+                try:
+                    reference_eval(op, add(W, ONE), y, budget)
+                except BudgetExceeded:
+                    pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_below_w_w_spot_checks(self):
         rng = random.Random(7)

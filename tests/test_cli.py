@@ -85,22 +85,27 @@ class TestExitContract:
         assert "Traceback" not in err
 
 
-def _expressions():
-    # w, small naturals, + * ^, parentheses and S/H calls of index <= 6.
-    leaf = st.one_of(st.just("w"), st.integers(0, 9).map(str))
+LEAVES = st.one_of(st.just("w"), st.integers(0, 9).map(str))
 
+
+def _expressions():
+    # w, small naturals, + * ^, parentheses and S/H/N/L calls of index <= 6.
     def extend(inner):
         return st.one_of(
             st.tuples(inner, st.sampled_from("+*^"), inner).map("".join),
             inner.map("({})".format),
-            st.builds("{}({},{},{})".format, st.sampled_from("SH"),
+            st.builds("{}({},{},{})".format, st.sampled_from("SHNL"),
                       st.integers(0, 6), inner, inner),
         )
 
-    return st.recursive(leaf, extend, max_leaves=6)
+    return st.recursive(LEAVES, extend, max_leaves=6)
 
 
-OPERANDS = st.one_of(_expressions(), st.text("w0123()+*^,SH ", max_size=20))
+OPERANDS = st.one_of(_expressions(), st.text("w0123()+*^,SHNL ", max_size=20))
+# One opener nested 150-600 deep around a leaf: from below the parser's
+# limit (about 197 nested "w^(" in a fresh interpreter) to far past it.
+DEEP = st.builds(lambda opener, depth, leaf: opener * depth + leaf + ")" * depth,
+                 st.sampled_from(["(", "w^(", "S(1,w,"]), st.integers(150, 600), LEAVES)
 # Literal hyperoperation calls: deep levels, cycling bases, huge counts.
 HYPER_CALLS = st.builds("{}({},{},{})".format, st.sampled_from("HL"), st.integers(0, 300),
                         st.integers(0, 5), st.one_of(st.integers(0, 6), st.just(10**9)))
@@ -109,6 +114,8 @@ COMMANDS = st.one_of(
     st.builds(lambda e: ["eval", e], HYPER_CALLS),
     st.builds(lambda e: ["eval", e, "--format", "json"], OPERANDS),
     st.builds(lambda a, b: ["cmp", a, b], OPERANDS, OPERANDS),
+    st.builds(lambda e: ["eval", e], DEEP),
+    st.builds(lambda a, b: ["cmp", a, b], DEEP, st.one_of(DEEP, OPERANDS)),
 )
 
 

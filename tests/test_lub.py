@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ordinals
-from support import W, nat
+from support import W, nat, reference_classify
 
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget, Meter
@@ -71,6 +71,14 @@ def _prefix_by_scan(run):
 INCREASING_RUNS = st.lists(ordinals(), min_size=3, max_size=10, unique=True).map(sorted)
 
 
+def _head(run, c1, c2):
+    # w^(top+1)*c1 + w^top*c2 with top = run[-1] + 1.  Added on the left
+    # of every value of run it stays whole, as each value's leading
+    # exponent is at most run[-1] < top.
+    top = successor(run[-1])
+    return add(mul(omega_power(successor(top)), nat(c1)), mul(omega_power(top), nat(c2)))
+
+
 class TestCommonTermPrefix:
     # _common_term_prefix reads only the ends of a strictly increasing run.
 
@@ -80,11 +88,8 @@ class TestCommonTermPrefix:
 
     @given(INCREASING_RUNS, ordinals(), st.integers(1, 9), st.integers(1, 9))
     def test_shared_prefix_added_to_each_value(self, run, lead, c1, c2):
-        # Adding on the left keeps a run strictly increasing.  The head
-        # w^(top+1)*c1 + w^top*c2 stays whole in front of every value, as
-        # each value's leading exponent is at most run[-1] < top.
-        top = successor(run[-1])
-        head = add(mul(omega_power(successor(top)), nat(c1)), mul(omega_power(top), nat(c2)))
+        # Adding on the left keeps a run strictly increasing.
+        head = _head(run, c1, c2)
         for shift in (head, lead, add(head, lead)):
             shifted = [add(shift, x) for x in run]
             assert all(a < b for a, b in zip(shifted, shifted[1:]))
@@ -188,6 +193,57 @@ class TestNoPattern:
         # fixed, heights 1,1,2 not strict.  Nothing fires.
         with pytest.raises(NoPatternError):
             classify_lub([ONE, nat(2), W])
+
+
+def _outcome(classify, samples):
+    try:
+        return classify(samples)
+    except (NoPatternError, NotRepresentable) as err:
+        return type(err), str(err), err.samples
+
+
+def _shifted(run, c1, c2):
+    head = _head(run, c1, c2)
+    return [add(head, x) for x in run]
+
+
+def _growing(lead, head, e, exponents, n):
+    # Arbitrary lead samples, then head + w^e*k (coefficient growth) or
+    # head + w^(e+k) (exponent growth) for k = 1..n: a tail a rule fits,
+    # and lead samples that may lie above its supremum.
+    grow = (lambda k: omega_power(add(e, nat(k)))) if exponents else (
+        lambda k: mul(omega_power(e), nat(k)))
+    return lead + [add(head, grow(k)) for k in range(1, n + 1)]
+
+
+SAMPLE_LISTS = st.lists(ordinals(), min_size=3, max_size=10)
+SHIFTED_RUNS = st.builds(_shifted, INCREASING_RUNS, st.integers(1, 9), st.integers(1, 9))
+GROWING_RUNS = st.builds(_growing, st.lists(ordinals(), max_size=3), ordinals(), ordinals(),
+                         st.booleans(), st.integers(3, 6))
+
+
+class TestAgainstReference:
+    # classify_lub's rule search returns None where reference_classify's
+    # raises and catches NoPatternError; the outcomes are the same.
+
+    @pytest.mark.parametrize("runs", [
+        pytest.param(SAMPLE_LISTS, id="lists"),
+        pytest.param(INCREASING_RUNS, id="increasing"),
+        pytest.param(SHIFTED_RUNS, id="shifted"),
+        pytest.param(GROWING_RUNS, id="growing"),
+    ])
+    @given(data=st.data())
+    def test_same_outcome(self, runs, data):
+        samples = data.draw(runs)
+        assert _outcome(classify_lub, samples) == _outcome(reference_classify, samples)
+
+    @given(st.one_of(SAMPLE_LISTS, INCREASING_RUNS, SHIFTED_RUNS, GROWING_RUNS))
+    def test_value_bounds_every_sample(self, samples):
+        try:
+            value, _ = classify_lub(samples)
+        except (NoPatternError, NotRepresentable):
+            return
+        assert value >= max(samples)
 
 
 class TestSampleAndInfer:
