@@ -5,10 +5,15 @@ Subcommands: eval, cmp, table, mains, selftest.  Exit codes: 0 success,
 epsilon_0; selftest exits 1 when one of its checks fails.  The
 TRANSFINITE_BUDGET_BITS environment variable overrides the default bit
 cap; explicit --max-bits wins over the variable.
+
+main builds its argument parser once per process, on the first call, and
+reuses it: the budget, TRANSFINITE_BUDGET_BITS and the terminal width
+(read when usage or help text is printed) are still read on every call.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -45,7 +50,13 @@ def _budget_from(args: argparse.Namespace) -> EvalBudget:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared after it.
+
+    main parses every command with this one object, so callers must not
+    add to it or change it.
+    """
     ap = argparse.ArgumentParser(
         prog="transfinite",
         description="Exact ordinal arithmetic below epsilon_0",

@@ -18,8 +18,10 @@ rules are tried in a fixed order:
 
 TOWER_GROWTH reads only the whole run and raises NotRepresentable.
 PREFIX_PEEL and EXPONENT_GROWTH recurse.  The rule search returns
-(value, rule) or None, and a rule whose sub-inference gives None yields
-to the next; only classify_lub raises NoPatternError, with the samples.
+(value, rule) or None.  On a strictly increasing run at most one of the
+last three rules applies, so a rule whose sub-inference gives None gives
+None for that run; only classify_lub raises NoPatternError, with the
+samples.
 
 The inferred value is exact whenever the sampled function is weakly
 increasing and the sample points are cofinal in the limit, which holds for
@@ -130,22 +132,22 @@ def _infer_increasing(run: List[Ordinal]) -> Optional[Tuple[Ordinal, LubInferenc
 
 
 def _lub_of_increasing(run: List[Ordinal]) -> Optional[Tuple[Ordinal, LubInference]]:
-    # run: >= 3 strictly increasing nonzero ordinals.
+    # run: >= 3 strictly increasing nonzero ordinals.  At most one rule
+    # applies: a shared prefix fixes every leading exponent and
+    # coefficient, and strictly increasing exponents are not a fixed one.
 
     # PREFIX_PEEL.  The shared prefix must be literal (exponent and
     # coefficient alike); remainders are again strictly increasing.
     prefix = _common_term_prefix(run)
     if prefix:
         sub = _infer_increasing([_ord(s.terms[len(prefix):]) for s in run])
-        if sub is not None:
-            return add(_ord(prefix), sub[0]), LubInference.PREFIX_PEEL
+        return None if sub is None else (add(_ord(prefix), sub[0]), LubInference.PREFIX_PEEL)
 
     # EXPONENT_GROWTH.
     exps = [s.terms[0][0] for s in run]
     if all(a < b for a, b in zip(exps, exps[1:])):
         sub = _infer_increasing(exps)
-        if sub is not None:
-            return omega_power(sub[0]), LubInference.EXPONENT_GROWTH
+        return None if sub is None else (omega_power(sub[0]), LubInference.EXPONENT_GROWTH)
 
     # COEFFICIENT_GROWTH.
     first_exp = run[0].terms[0][0]

@@ -9,11 +9,16 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from transfinite import cli
 from transfinite.cli import main
 
 
 def run(capsys, argv):
-    code = main(argv)
+    """(exit status, stdout, stderr) of one command; argparse's exits count too."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -234,3 +239,64 @@ class TestSelftest:
         assert code == 0
         assert "pass: all checks succeeded" in out
         assert "FAIL" not in out
+
+
+class TestParserReuse:
+    """main builds its parser once per process; reusing it changes no output."""
+
+    USAGE, HELP = ("SystemExit", 2), ("SystemExit", 0)
+    ARGVS = [
+        pytest.param(["eval", "w^(w+1)*3 + 5"], 0, id="eval"),
+        pytest.param(["cmp", "w*2", "w+w"], 0, id="cmp"),
+        pytest.param(["table", "--op", "H", "--index", "2", "--rows", "3", "--cols", "3"], 0,
+                     id="table"),
+        pytest.param(["mains", "--index", "1", "--bound", "w^2"], 0, id="mains"),
+        pytest.param(["selftest"], 0, id="selftest"),
+        pytest.param(["eval", "1 +"], 2, id="exit-2"),
+        pytest.param(["eval", "H(3,3,20000)"], 3, id="exit-3"),
+        pytest.param(["eval", "S(4,w,w)"], 4, id="exit-4"),
+        pytest.param(["bogus"], USAGE, id="unknown-command"),
+        pytest.param(["eval"], USAGE, id="missing-expression"),
+        pytest.param(["table", "--op", "X", "--index", "2", "--rows", "1", "--cols", "1"],
+                     USAGE, id="bad-choice"),
+        pytest.param(["eval", "--max-bits", "x", "1"], USAGE, id="bad-int"),
+        pytest.param(["eval", "--help"], HELP, id="help"),
+    ]
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_does_not_build_it(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from transfinite import cli; print(cli.build_parser.cache_info().currsize)"],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+    @pytest.mark.parametrize("argv, code", ARGVS)
+    def test_shared_parser_matches_a_fresh_one(self, capsys, monkeypatch, argv, code):
+        first = run(capsys, argv)
+        assert first[0] == code
+        assert run(capsys, argv) == first
+        fresh = cli.build_parser.__wrapped__()
+        monkeypatch.setattr(cli, "build_parser", lambda: fresh)
+        assert run(capsys, argv) == first
+
+    def test_budget_variable_is_read_on_every_call(self, capsys, monkeypatch):
+        monkeypatch.delenv("TRANSFINITE_BUDGET_BITS", raising=False)
+        assert run(capsys, ["eval", "H(4,2,5)"])[0] == 3
+        monkeypatch.setenv("TRANSFINITE_BUDGET_BITS", "70000")
+        code, out, _ = run(capsys, ["eval", "H(4,2,5)"])
+        assert (code, len(out.strip())) == (0, 19729)
+
+    def test_terminal_width_is_read_on_every_call(self, capsys, monkeypatch):
+        run(capsys, ["eval", "w"])
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = run(capsys, ["eval", "--help"])
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = run(capsys, ["eval", "--help"])
+        assert narrow != wide
+        fresh = cli.build_parser.__wrapped__()
+        monkeypatch.setattr(cli, "build_parser", lambda: fresh)
+        assert run(capsys, ["eval", "--help"]) == narrow
