@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
-from .ordinal import Ordinal, check_natural, coefficient_bits
+from .ordinal import Ordinal, check_natural
 
 ENV_BITS = "TRANSFINITE_BUDGET_BITS"
 
@@ -75,21 +75,24 @@ class Meter:
 
     Evaluators call step() once per unit of work and check_size() on
     each value they produce.  lub.sample_and_infer gives a refused
-    sample's work back.
+    sample's work back.  The caps are copied from the frozen budget once.
     """
 
-    __slots__ = ("budget", "work")
+    __slots__ = ("budget", "work", "max_depth", "max_work", "max_bits")
 
     def __init__(self, budget: EvalBudget):
         self.budget = budget
         self.work = 0
+        self.max_depth, self.max_work, self.max_bits = (
+            budget.max_depth, budget.max_work, budget.max_bits)
 
     def step(self, depth: int) -> None:
         self.work += 1
-        if depth > self.budget.max_depth:
-            raise BudgetExceeded(f"recursion deeper than {self.budget.max_depth}")
-        if self.work > self.budget.max_work:
-            raise BudgetExceeded(f"more than {self.budget.max_work} evaluation steps")
+        if depth > self.max_depth:
+            raise BudgetExceeded(f"recursion deeper than {self.max_depth}")
+        if self.work > self.max_work:
+            raise BudgetExceeded(f"more than {self.max_work} evaluation steps")
 
     def check_size(self, value: Ordinal) -> None:
-        self.budget.check_bits(coefficient_bits(value))
+        if value._bits > self.max_bits:
+            self.budget.check_bits(value._bits)

@@ -23,6 +23,11 @@ last three rules applies, so a rule whose sub-inference gives None gives
 None for that run; only classify_lub raises NoPatternError, with the
 samples.
 
+The rule search reads term tuples, not Ordinals: tuple order is the order
+of the values, a peeled remainder is a slice, and interned exponents compare
+by identity; only the answer is built.  sample_and_infer keeps each sample's
+height as it arrives, and its in-flight tower check reads the last four.
+
 The inferred value is exact whenever the sampled function is weakly
 increasing and the sample points are cofinal in the limit, which holds for
 the operations in this package on every argument the growth rules accept.
@@ -31,6 +36,7 @@ the operations in this package on every argument the growth rules accept.
 from __future__ import annotations
 
 import enum
+from operator import attrgetter, is_not, lt
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .arithmetic import add
@@ -47,6 +53,8 @@ from .ordinal import (
     successor,
 )
 
+_TERMS = attrgetter("terms")
+
 
 class LubInference(enum.Enum):
     CONSTANT_TAIL = "constant-tail"
@@ -57,8 +65,7 @@ class LubInference(enum.Enum):
 
 
 def infer_lub(samples: Sequence[Ordinal]) -> Ordinal:
-    value, _ = classify_lub(samples)
-    return value
+    return classify_lub(samples)[0]
 
 
 def classify_lub(samples: Sequence[Ordinal]) -> Tuple[Ordinal, LubInference]:
@@ -67,8 +74,8 @@ def classify_lub(samples: Sequence[Ordinal]) -> Tuple[Ordinal, LubInference]:
     if len(samples) < 3:
         raise NoPatternError(f"need at least 3 samples, got {len(samples)}", samples)
 
-    if samples[-1] == samples[-2] == samples[-3]:
-        return max(samples), LubInference.CONSTANT_TAIL
+    if samples[-1] is samples[-2] is samples[-3]:
+        return max(samples, key=_TERMS), LubInference.CONSTANT_TAIL
 
     # TOWER_GROWTH.  By induction on the leading exponent, a <= b implies
     # cnf_height(a) <= cnf_height(b), so climbing heights are climbing
@@ -83,36 +90,19 @@ def classify_lub(samples: Sequence[Ordinal]) -> Tuple[Ordinal, LubInference]:
         )
 
     # Everything else needs a strictly increasing tail to read a trend from.
-    run = _increasing_tail(samples)
-    found = _infer_increasing(run)
+    run = list(map(_TERMS, samples))
+    i = len(run) - 1
+    while i > 0 and run[i - 1] < run[i]:
+        i -= 1
+    found = _infer_increasing(run[i:])
     if found is None:
         raise NoPatternError("samples match no growth rule", samples)
     value, rule = found
     # sup(all) = max(sup(tail), the samples before the tail).
-    return max([value, *samples[: len(samples) - len(run)]]), rule
+    return max([value, *samples[:i]], key=_TERMS), rule
 
 
-def _tower_preview(samples: List[Ordinal]) -> bool:
-    """Cheap filter for the in-flight tower check.
-
-    A run heading straight for epsilon_0 keeps climbing in height with
-    every sample.  Only that sustained shape justifies a mid-run
-    classification; anything else waits for the final inference over the
-    full run, which stays authoritative.  Four climbing heights make
-    classify_lub's tower test fire, so the classification always raises.
-    """
-    a, b, c, d = map(cnf_height, samples[-4:])
-    return a < b < c < d
-
-
-def _increasing_tail(samples: List[Ordinal]) -> List[Ordinal]:
-    i = len(samples) - 1
-    while i > 0 and samples[i - 1] < samples[i]:
-        i -= 1
-    return samples[i:]
-
-
-def _infer_increasing(run: List[Ordinal]) -> Optional[Tuple[Ordinal, LubInference]]:
+def _infer_increasing(run: List[tuple]) -> Optional[Tuple[Ordinal, LubInference]]:
     """Infer the lub of a strictly increasing run, retrying on suffixes.
 
     A run whose early entries come from seed stages can hide the trend
@@ -122,7 +112,7 @@ def _infer_increasing(run: List[Ordinal]) -> Optional[Tuple[Ordinal, LubInferenc
     everything dropped.  A leading zero is dropped first, and at least
     three entries must remain.  None when no window fits a rule.
     """
-    if run[0] is ZERO:
+    if not run[0]:
         run = run[1:]
     for start in range(len(run) - 2):
         found = _lub_of_increasing(run[start:])
@@ -131,8 +121,8 @@ def _infer_increasing(run: List[Ordinal]) -> Optional[Tuple[Ordinal, LubInferenc
     return None
 
 
-def _lub_of_increasing(run: List[Ordinal]) -> Optional[Tuple[Ordinal, LubInference]]:
-    # run: >= 3 strictly increasing nonzero ordinals.  At most one rule
+def _lub_of_increasing(run: List[tuple]) -> Optional[Tuple[Ordinal, LubInference]]:
+    # run: >= 3 strictly increasing nonzero term tuples.  At most one rule
     # applies: a shared prefix fixes every leading exponent and
     # coefficient, and strictly increasing exponents are not a fixed one.
 
@@ -140,31 +130,35 @@ def _lub_of_increasing(run: List[Ordinal]) -> Optional[Tuple[Ordinal, LubInferen
     # coefficient alike); remainders are again strictly increasing.
     prefix = _common_term_prefix(run)
     if prefix:
-        sub = _infer_increasing([_ord(s.terms[len(prefix):]) for s in run])
+        n = len(prefix)
+        sub = _infer_increasing([t[n:] for t in run])
         return None if sub is None else (add(_ord(prefix), sub[0]), LubInference.PREFIX_PEEL)
 
+    # Leading exponents never fall along an increasing run, and values are
+    # interned, so neighbours that are distinct objects strictly increase,
+    # and the first and last exponents are one object exactly when all are.
+
     # EXPONENT_GROWTH.
-    exps = [s.terms[0][0] for s in run]
-    if all(a < b for a, b in zip(exps, exps[1:])):
-        sub = _infer_increasing(exps)
+    exps = [t[0][0] for t in run]
+    if all(map(is_not, exps, exps[1:])):
+        sub = _infer_increasing([e.terms for e in exps])
         return None if sub is None else (omega_power(sub[0]), LubInference.EXPONENT_GROWTH)
 
     # COEFFICIENT_GROWTH.
-    first_exp = run[0].terms[0][0]
-    if all(s.terms[0][0] == first_exp for s in run):
-        coeffs = [s.terms[0][1] for s in run]
-        if all(a < b for a, b in zip(coeffs, coeffs[1:])):
-            return omega_power(successor(first_exp)), LubInference.COEFFICIENT_GROWTH
+    if exps[0] is exps[-1]:
+        coeffs = [t[0][1] for t in run]
+        if all(map(lt, coeffs, coeffs[1:])):
+            return omega_power(successor(exps[0])), LubInference.COEFFICIENT_GROWTH
 
     return None
 
 
-def _common_term_prefix(run: List[Ordinal]):
+def _common_term_prefix(run: List[tuple]) -> tuple:
     # run is strictly increasing (_lub_of_increasing is the one caller), and
     # the values that begin with a given term prefix form an interval of the
     # order, so the first and last samples agree exactly where all do.  A
     # prefix of all of run[0] leaves it 0, which _infer_increasing drops.
-    first, last = run[0].terms, run[-1].terms
+    first, last = run[0], run[-1]
     for n, (a, b) in enumerate(zip(first, last)):
         if a != b:
             return first[:n]
@@ -201,20 +195,22 @@ def sample_and_infer(
     samples may show only the early height climb or no trend yet.
     """
     gammas = [ZERO, ONE] + fundamental_prefix(lam, meter.budget.sup_samples)
-    samples: List[Ordinal] = []
+    samples, heights = [], []  # heights kept for the in-flight tower check
     cut = None
     for g in gammas:
         work = meter.work
         try:
-            samples.append(eval_at(g))
+            x = eval_at(g)
         except BudgetExceeded as err:
             meter.work = work
             if len(samples) < 3:
                 raise
             cut = err
             break
-        if len(samples) >= 6 and _tower_preview(samples):
-            classify_lub(samples)  # raises NotRepresentable
+        samples.append(x)
+        heights.append(x._height)
+        if len(heights) >= 6 and heights[-4] < heights[-3] < heights[-2] < heights[-1]:
+            classify_lub(samples)  # its tower test fires: raises NotRepresentable
     try:
         return infer_lub(samples)
     except NotRepresentable:

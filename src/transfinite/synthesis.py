@@ -165,7 +165,7 @@ def _sup(ctx: _SynthCtx, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Or
         nonlocal head, prev
         terms = gamma.terms
         k = terms[0][1] if len(terms) == 1 and terms[0][0] is g else 0
-        if k < 2 or (n == 3 and k - 1 > ctx.budget.max_bits):
+        if k < 2 or (n == 3 and k - 1 > ctx.max_bits):
             value = _eval(ctx, n, alpha, gamma, depth)
         else:
             key = (n, alpha, gamma)

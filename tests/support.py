@@ -7,10 +7,11 @@ import random
 from typing import List, Tuple
 
 from transfinite.arithmetic import add, mul
-from transfinite.errors import NoPatternError, NotRepresentable
-from transfinite.lub import LubInference, _common_term_prefix, _increasing_tail
+from transfinite.errors import BudgetExceeded, NoPatternError, NotRepresentable
+from transfinite.lub import LubInference
 from transfinite.ordinal import (
-    OMEGA, ZERO, Ordinal, _ord, cnf_height, compare, from_natural, omega_power, successor,
+    OMEGA, ONE, ZERO, Ordinal, _ord, cnf_height, compare, from_natural,
+    fundamental_prefix, omega_power, successor,
 )
 
 W = OMEGA
@@ -123,6 +124,23 @@ def reference_classify(samples) -> Tuple[Ordinal, LubInference]:
     return max([value, *samples[: len(samples) - len(run)]]), rule
 
 
+def _increasing_tail(samples):
+    i = len(samples) - 1
+    while i > 0 and samples[i - 1] < samples[i]:
+        i -= 1
+    return samples[i:]
+
+
+def _common_term_prefix(run):
+    # The first and last samples of a strictly increasing run agree
+    # exactly where all samples do.
+    first, last = run[0].terms, run[-1].terms
+    for n, (a, b) in enumerate(zip(first, last)):
+        if a != b:
+            return first[:n]
+    return first
+
+
 def _raising_infer(run, trace):
     if run[0] is ZERO:
         run = run[1:]
@@ -157,6 +175,51 @@ def _raising_lub(run, trace):
         if all(a < b for a, b in zip(coeffs, coeffs[1:])):
             return omega_power(successor(first_exp)), LubInference.COEFFICIENT_GROWTH
     raise NoPatternError("samples match no growth rule", trace)
+
+
+def reference_sample_and_infer(eval_at, lam, meter) -> Ordinal:
+    """`sample_and_infer` as a plain loop over Ordinals, inferring through
+    `reference_classify`, with the in-flight tower check re-reading the
+    heights of the last four samples after every sample.
+
+    The definition `sample_and_infer` is checked against: the same value,
+    or the same exception with the same samples, the same work left on
+    the meter, and the same points handed to eval_at.
+    """
+    gammas = [ZERO, ONE] + fundamental_prefix(lam, meter.budget.sup_samples)
+    samples = []
+    cut = None
+    for g in gammas:
+        work = meter.work
+        try:
+            samples.append(eval_at(g))
+        except BudgetExceeded as err:
+            meter.work = work
+            if len(samples) < 3:
+                raise
+            cut = err
+            break
+        if len(samples) >= 6 and _tower_preview(samples):
+            reference_classify(samples)  # raises NotRepresentable
+    try:
+        return reference_classify(samples)[0]
+    except NotRepresentable:
+        if cut is None:
+            raise
+    except NoPatternError as err:
+        if cut is None:
+            rendered = ", ".join(str(s) for s in samples)
+            raise BudgetExceeded(
+                f"no growth rule matched after {len(samples)} samples: [{rendered}]",
+                samples,
+            ) from err
+    raise cut
+
+
+def _tower_preview(samples) -> bool:
+    # Four climbing heights make the tower test of the last three fire.
+    a, b, c, d = map(cnf_height, samples[-4:])
+    return a < b < c < d
 
 
 def tree_corpus(count: int = 10000, depth: int = 3, seed: int = 4242) -> List[Ordinal]:

@@ -6,13 +6,16 @@ remainder sequence, strictly increasing exponents give w to the limit of
 the exponents, strictly increasing coefficients over w^e give w^(e+1),
 and strictly increasing heights leave epsilon_0's reach entirely.
 """
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ordinals
-from support import W, nat, reference_classify
+from support import W, nat, rand_below_w_w, reference_classify, reference_sample_and_infer
 
+from transfinite import lub, synthesis
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget, Meter
 from transfinite.errors import BudgetExceeded, NoPatternError, NotRepresentable
@@ -79,12 +82,17 @@ def _head(run, c1, c2):
     return add(mul(omega_power(successor(top)), nat(c1)), mul(omega_power(top), nat(c2)))
 
 
+def _prefix_of(run):
+    # _common_term_prefix reads the runs' term tuples.
+    return _common_term_prefix([x.terms for x in run])
+
+
 class TestCommonTermPrefix:
     # _common_term_prefix reads only the ends of a strictly increasing run.
 
     @given(INCREASING_RUNS)
     def test_ends_agree_with_every_sample(self, run):
-        assert _common_term_prefix(run) == _prefix_by_scan(run)
+        assert _prefix_of(run) == _prefix_by_scan(run)
 
     @given(INCREASING_RUNS, ordinals(), st.integers(1, 9), st.integers(1, 9))
     def test_shared_prefix_added_to_each_value(self, run, lead, c1, c2):
@@ -93,8 +101,8 @@ class TestCommonTermPrefix:
         for shift in (head, lead, add(head, lead)):
             shifted = [add(shift, x) for x in run]
             assert all(a < b for a, b in zip(shifted, shifted[1:]))
-            assert _common_term_prefix(shifted) == _prefix_by_scan(shifted)
-        assert _common_term_prefix([add(head, x) for x in run])[:2] == head.terms
+            assert _prefix_of(shifted) == _prefix_by_scan(shifted)
+        assert _prefix_of([add(head, x) for x in run])[:2] == head.terms
 
 
 class TestExponentGrowth:
@@ -394,3 +402,181 @@ class TestSampleAndInfer:
         ):
             narrow = sample_and_infer(fn, lam, Meter(B))
             assert narrow == sample_and_infer(fn, lam, Meter(wide))
+
+
+# -- sample_and_infer against its definition ----------------------------------
+
+LIMITS = [W, W2, add(W2, W), WW, omega_power(WW)]
+FAULTS = (BudgetExceeded, NotRepresentable)
+
+
+def _tower(base, n):
+    stages = [base]
+    while len(stages) < n:
+        stages.append(omega_power(stages[-1]))
+    return stages
+
+
+@st.composite
+def eval_tables(draw):
+    """(budget, lam, values, steps, faults) for one table-driven eval_at.
+
+    Position k of the run returns values[k] after steps[k] meter steps,
+    unless faults maps k to an exception type, which it raises instead.
+    Value runs are arbitrary, sorted, growing, or w-towers after a few
+    arbitrary leads (climbing heights); a run shorter than the table
+    repeats its last value.
+    """
+    budget = EvalBudget(max_depth=1, sup_samples=draw(st.integers(1, 10)))
+    n = budget.sup_samples + 2
+    kind = draw(st.sampled_from(["any", "sorted", "growing", "tower"]))
+    if kind == "tower":
+        values = draw(st.lists(ordinals(), max_size=3)) + _tower(draw(ordinals()), n)
+    else:
+        values = draw({"any": SAMPLE_LISTS, "sorted": INCREASING_RUNS,
+                       "growing": GROWING_RUNS}[kind])
+    values = (values + values[-1:] * n)[:n]
+    # Steps past the 256-step cap of max_depth=1 make the meter refuse.
+    steps = draw(st.lists(st.integers(0, 2) | st.integers(20, 90), min_size=n, max_size=n))
+    faults = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(FAULTS), max_size=2))
+    return budget, draw(st.sampled_from(LIMITS)), values, steps, faults
+
+
+def _sample_outcome(sup, table):
+    # The value or (exception type, message, samples), the meter's work
+    # afterwards, and the points eval_at was handed.
+    budget, lam, values, steps, faults = table
+    meter, calls = Meter(budget), []
+
+    def eval_at(gamma):
+        k = len(calls)
+        calls.append(gamma)
+        for _ in range(steps[k]):
+            meter.step(0)
+        if k in faults:
+            raise faults[k](f"synthetic at {k}")
+        return values[k]
+
+    try:
+        out = sup(eval_at, lam, meter)
+    except (BudgetExceeded, NotRepresentable) as err:
+        out = (type(err), str(err), err.samples)
+    return out, meter.work, calls
+
+
+class TestSampleAndInferAgainstReference:
+    @settings(max_examples=200)
+    @given(eval_tables())
+    def test_same_outcome_work_and_calls(self, table):
+        assert _sample_outcome(sample_and_infer, table) == \
+            _sample_outcome(reference_sample_and_infer, table)
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(_tower(ONE, 12), id="tower"),
+        pytest.param([ONE] + [mul(W, nat(k)) for k in range(1, 12)], id="coefficients"),
+        pytest.param([add(WW, nat(k)) for k in range(12)], id="prefix"),
+        pytest.param([ZERO, ONE] + [W2] * 10, id="constant"),
+    ])
+    def test_budget_cut_at_every_position(self, values):
+        budget = EvalBudget(sup_samples=10)
+        for k in range(12):
+            for fault in FAULTS:
+                table = (budget, W, values, [1] * 12, {k: fault})
+                assert _sample_outcome(sample_and_infer, table) == \
+                    _sample_outcome(reference_sample_and_infer, table), (k, fault)
+
+
+# -- the calls perfbench/tracer.py counts ---------------------------------------
+
+class _LubCalls:
+    """Counters on lub.infer_lub and lub.classify_lub, through the module
+    globals sample_and_infer calls them by.
+
+    classified holds (samples, in_flight) per classify_lub call, with
+    in_flight False when infer_lub made the call.  sup() runs
+    sample_and_infer and appends (infer_lub calls it made, returned) to
+    sups; infer_lub is called at the end of its run, after any nested
+    supremum has closed, so the innermost open run is the caller.
+    """
+
+    def __init__(self, monkeypatch):
+        self.classified, self.sups, self.open, self.inferring = [], [], [], 0
+        classify, infer = lub.classify_lub, lub.infer_lub
+
+        def counting_infer(samples):
+            if self.open:
+                self.open[-1] += 1
+            self.inferring += 1
+            try:
+                return infer(samples)
+            finally:
+                self.inferring -= 1
+
+        def counting_classify(samples):
+            self.classified.append((tuple(samples), not self.inferring))
+            return classify(samples)
+
+        monkeypatch.setattr(lub, "infer_lub", counting_infer)
+        monkeypatch.setattr(lub, "classify_lub", counting_classify)
+
+    def sup(self, eval_at, lam, meter):
+        self.open.append(0)
+        returned = False
+        try:
+            value = sample_and_infer(eval_at, lam, meter)
+            returned = True
+            return value
+        finally:
+            self.sups.append((self.open.pop(), returned))
+
+    def in_flight(self):
+        return [run for run, in_flight in self.classified if in_flight]
+
+
+def _climbing(samples):
+    a, b, c, d = (cnf_height(s) for s in samples[-4:])
+    return a < b < c < d
+
+
+class TestTracedCalls:
+    def test_finished_supremum_infers_once(self, monkeypatch):
+        calls = _LubCalls(monkeypatch)
+        assert calls.sup(lambda g: add(W, g), omega_power(W), Meter(B)) == WW
+        assert calls.sups == [(1, True)]
+        assert len(calls.classified) == 1 and not calls.in_flight()
+
+    def test_tower_is_classified_in_flight_after_four_climbing_heights(self, monkeypatch):
+        calls = _LubCalls(monkeypatch)
+        stages = _tower(W, 12)
+        with pytest.raises(NotRepresentable):
+            calls.sup(lambda g, it=iter(stages): next(it), W, Meter(B))
+        assert calls.sups == [(0, False)]
+        assert calls.classified == [(tuple(stages[:6]), True)]
+
+    def test_three_climbing_heights_wait_for_the_full_run(self, monkeypatch):
+        # Heights 1, 1, 2, 3, 4, 4, ...: the climb stops before a fourth height.
+        calls = _LubCalls(monkeypatch)
+        stages = [ONE, ONE, W, WW, omega_power(WW)]
+        stages += [mul(stages[-1], nat(k)) for k in range(2, 9)]
+        value = calls.sup(lambda g, it=iter(stages): next(it), W, Meter(B))
+        assert value == omega_power(successor(WW))
+        assert calls.sups == [(1, True)]
+        assert len(calls.classified) == 1 and not calls.in_flight()
+
+    def test_ladder_runs(self, monkeypatch):
+        calls = _LubCalls(monkeypatch)
+        monkeypatch.setattr(synthesis, "sample_and_infer", calls.sup)
+        rng = random.Random(15)
+        args = [(4, nat(2), W2), (4, W, W), (3, WW, WW)]
+        args += [(rng.randint(2, 4), rand_below_w_w(rng), rand_below_w_w(rng)) for _ in range(200)]
+        for n, alpha, beta in args:
+            try:
+                synthesis.synth(n, alpha, beta, B)
+            except (BudgetExceeded, NotRepresentable):
+                pass
+        finished = [count for count, returned in calls.sups if returned]
+        assert finished and set(finished) == {1}
+        assert all(count <= 1 for count, _ in calls.sups)
+        in_flight = calls.in_flight()
+        assert in_flight and all(len(run) >= 6 and _climbing(run) for run in in_flight)
+        assert len(calls.classified) == sum(count for count, _ in calls.sups) + len(in_flight)
