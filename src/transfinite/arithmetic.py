@@ -22,7 +22,6 @@ from .ordinal import (
     Natural,
     Ordinal,
     _ord,
-    compare,
     is_additive_principal,
     is_limit,
     limit_and_finite_parts,
@@ -36,22 +35,14 @@ def add(x: Ordinal, y: Ordinal) -> Ordinal:
         return x
     if x is ZERO:
         return y
-    d = y.terms[0][0]
-    keep = []
-    merged = None
-    for e, c in x.terms:
-        cmp = compare(e, d)
-        if cmp > 0:
-            keep.append((e, c))
-        elif cmp == 0:
-            merged = c
-            break
-        else:
-            break
-    if merged is not None:
-        e0, c0 = y.terms[0]
-        return _ord(tuple(keep) + ((e0, merged + c0),) + y.terms[1:])
-    return _ord(tuple(keep) + y.terms)
+    (d, c0), rest = y.terms[0], y.terms[1:]
+    # Values are interned and ordered by their term tuples.
+    for i, (e, c) in enumerate(x.terms):
+        if e is d:
+            return _ord(x.terms[:i] + ((d, c + c0),) + rest)
+        if e.terms < d.terms:
+            return _ord(x.terms[:i] + y.terms)
+    return _ord(x.terms + y.terms)
 
 
 def mul(x: Ordinal, y: Ordinal) -> Ordinal:
@@ -77,9 +68,10 @@ def mul(x: Ordinal, y: Ordinal) -> Ordinal:
 def pow_(x: Ordinal, y: Ordinal, budget: Optional[EvalBudget] = None) -> Ordinal:
     """x ** y in closed form.
 
-    The optional budget caps the size of natural powers and of repeated
-    squaring; without one the computation is unbounded.
+    The budget caps the size of natural powers and of repeated squaring;
+    without one the default EvalBudget applies.
     """
+    budget = budget or EvalBudget()
     if y is ZERO:
         return ONE
     if x is ZERO:
@@ -108,18 +100,16 @@ def _strip_leading_one(e: Ordinal) -> Ordinal:
     return e
 
 
-def _nat_pow(n: Natural, m: Natural, budget: Optional[EvalBudget]) -> Natural:
-    if budget is not None and n > 1:
-        # n**m has about m * bits(n) bits; refuse before materializing.
-        if m * n.bit_length() > 2 * budget.max_bits:
-            raise BudgetExceeded(f"{n}^{m} exceeds the bit budget")
+def _nat_pow(n: Natural, m: Natural, budget: EvalBudget) -> Natural:
+    # n**m has about m * bits(n) bits; refuse before materializing.
+    if n > 1 and m * n.bit_length() > 2 * budget.max_bits:
+        raise BudgetExceeded(f"{n}^{m} exceeds the bit budget")
     result = n**m
-    if budget is not None:
-        budget.check_bits(result.bit_length())
+    budget.check_bits(result.bit_length())
     return result
 
 
-def _pow_finite(x: Ordinal, m: Natural, budget: Optional[EvalBudget]) -> Ordinal:
+def _pow_finite(x: Ordinal, m: Natural, budget: EvalBudget) -> Ordinal:
     """x ** m for natural m by repeated squaring (ordinal mul is associative)."""
     if m == 0:
         return ONE
@@ -127,7 +117,7 @@ def _pow_finite(x: Ordinal, m: Natural, budget: Optional[EvalBudget]) -> Ordinal
         # (w^a)^m = w^(a*m); a*m is ordinal mul with a natural on the right.
         nat = _ord(((ZERO, m),))
         return omega_power(mul(x.terms[0][0], nat))
-    if budget is not None and m > budget.max_bits:
+    if m > budget.max_bits:
         # A non-principal base yields on the order of m terms.
         raise BudgetExceeded(f"finite power {m} is too large to expand")
     result = None

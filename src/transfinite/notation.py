@@ -154,27 +154,30 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, kind: str) -> bool:
+        if self.peek() is None or self.peek()[0] != kind:
+            return False
+        self.pos += 1
+        return True
+
     # sum := prod ("+" prod)*
     def sum(self) -> Expr:
         node = self.prod()
-        while self.peek() is not None and self.peek()[0] == "+":
-            self.next()
+        while self.accept("+"):
             node = Add(node, self.prod())
         return node
 
     # prod := pw ("*" pw)*
     def prod(self) -> Expr:
         node = self.pw()
-        while self.peek() is not None and self.peek()[0] == "*":
-            self.next()
+        while self.accept("*"):
             node = Mul(node, self.pw())
         return node
 
     # pw := atom ("^" pw)?   -- right-associative
     def pw(self) -> Expr:
         node = self.atom()
-        if self.peek() is not None and self.peek()[0] == "^":
-            self.next()
+        if self.accept("^"):
             node = Pow(node, self.pw())
         return node
 
@@ -190,41 +193,30 @@ class _Parser:
         if kind == "name":
             if text == "w":
                 return Omega()
-            if text in ("H", "L"):
-                return self.nat_func(text)
-            if text in ("S", "N"):
-                return self.expr_func(text)
+            if text in _FUNCS:
+                return self.func(*_FUNCS[text])
             raise ParseError(f"unknown name {text!r}", at)
         raise ParseError(f"unexpected token {text!r}", at)
 
-    def nat_func(self, letter: str) -> Expr:
+    def func(self, cls, operand) -> Expr:
         self.expect("(")
-        index = self.op_index()
-        self.expect(",")
-        base = _natural(self.expect("nat")[1])
-        self.expect(",")
-        arg = _natural(self.expect("nat")[1])
-        self.expect(")")
-        cls = Hyper if letter == "H" else LeftHyper
-        return cls(index, base, arg)
-
-    def expr_func(self, letter: str) -> Expr:
-        self.expect("(")
-        index = self.op_index()
-        self.expect(",")
-        left = self.sum()
-        self.expect(",")
-        right = self.sum()
-        self.expect(")")
-        cls = Synth if letter == "S" else NaiveExt
-        return cls(index, left, right)
-
-    def op_index(self) -> int:
         tok = self.expect("nat")
         index = _natural(tok[1])
         if index < 1:
             raise ParseError("operation index must be at least 1", tok[2])
-        return index
+        self.expect(",")
+        left = operand(self)
+        self.expect(",")
+        right = operand(self)
+        self.expect(")")
+        return cls(index, left, right)
+
+    def nat(self) -> int:
+        return _natural(self.expect("nat")[1])
+
+
+_FUNCS = {"H": (Hyper, _Parser.nat), "L": (LeftHyper, _Parser.nat),
+          "S": (Synth, _Parser.sum), "N": (NaiveExt, _Parser.sum)}
 
 
 def _natural(digits: str) -> int:
@@ -255,7 +247,8 @@ def eval_expr(node: Expr, budget: Optional[EvalBudget] = None) -> Ordinal:
     """Evaluate an expression tree to an ordinal.
 
     Hyperoperation results are naturals and come back embedded via
-    from_natural.  BudgetExceeded and NotRepresentable propagate.
+    from_natural.  Every value, operands included, is held to max_bits.
+    BudgetExceeded and NotRepresentable propagate.
     """
     budget = budget or EvalBudget()
     return _eval(node, budget)
@@ -263,25 +256,27 @@ def eval_expr(node: Expr, budget: Optional[EvalBudget] = None) -> Ordinal:
 
 def _eval(node: Expr, budget: EvalBudget) -> Ordinal:
     if isinstance(node, NatLit):
-        budget.check_bits(node.value.bit_length())
-        return from_natural(node.value)
-    if isinstance(node, Omega):
-        return OMEGA
-    if isinstance(node, Add):
-        return add(_eval(node.left, budget), _eval(node.right, budget))
-    if isinstance(node, Mul):
-        return mul(_eval(node.left, budget), _eval(node.right, budget))
-    if isinstance(node, Pow):
-        return pow_(_eval(node.base, budget), _eval(node.exponent, budget), budget)
-    if isinstance(node, Hyper):
-        return from_natural(hyper(node.index, node.base, node.arg, budget))
-    if isinstance(node, LeftHyper):
-        return from_natural(left_hyper(node.index, node.base, node.arg, budget))
-    if isinstance(node, Synth):
-        return synth(node.index, _eval(node.left, budget), _eval(node.right, budget), budget)
-    if isinstance(node, NaiveExt):
-        return naive_ext(node.index, _eval(node.left, budget), _eval(node.right, budget), budget)
-    raise TypeError(f"not an expression node: {node!r}")
+        value = from_natural(node.value)
+    elif isinstance(node, Omega):
+        value = OMEGA
+    elif isinstance(node, Add):
+        value = add(_eval(node.left, budget), _eval(node.right, budget))
+    elif isinstance(node, Mul):
+        value = mul(_eval(node.left, budget), _eval(node.right, budget))
+    elif isinstance(node, Pow):
+        value = pow_(_eval(node.base, budget), _eval(node.exponent, budget), budget)
+    elif isinstance(node, Hyper):
+        value = from_natural(hyper(node.index, node.base, node.arg, budget))
+    elif isinstance(node, LeftHyper):
+        value = from_natural(left_hyper(node.index, node.base, node.arg, budget))
+    elif isinstance(node, Synth):
+        value = synth(node.index, _eval(node.left, budget), _eval(node.right, budget), budget)
+    elif isinstance(node, NaiveExt):
+        value = naive_ext(node.index, _eval(node.left, budget), _eval(node.right, budget), budget)
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    budget.check_bits(value._bits)
+    return value
 
 
 # --- formatting -----------------------------------------------------------

@@ -113,9 +113,12 @@ class TestPow:
         assert pow_(ONE, x) == ONE
 
     def test_finite_blowup_is_cut_off(self):
-        # Without a budget pow_ is unbounded by contract, so pass one.
+        # Without a budget pow_ applies the default one.
         with pytest.raises(BudgetExceeded):
             pow_(nat(2), nat(10 ** 9), EvalBudget())
+        with pytest.raises(BudgetExceeded):
+            pow_(nat(2), nat(20000))
+        assert pow_(nat(2), nat(20000), EvalBudget(max_bits=30000)) == nat(2 ** 20000)
 
 
 class TestReferenceRoute:

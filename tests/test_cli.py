@@ -89,6 +89,22 @@ class TestExitContract:
         assert code == 3
         assert "Traceback" not in err
 
+    # Products of literals under the cap built naturals past it, which
+    # then failed to print (exit 1) or were compared as if in budget.
+    WIDE = "9" * 4000
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["eval", f"{WIDE}*{WIDE}"], id="eval-product"),
+        pytest.param(["eval", "--format", "json", f"w*{WIDE}*{WIDE}"], id="json-coefficient"),
+        pytest.param(["mains", "--index", "1", "--bound", f"w^({WIDE}*{WIDE})"], id="mains-bound"),
+        pytest.param(["cmp", f"{WIDE}*{WIDE}", "w"], id="cmp-product"),
+    ])
+    def test_wide_results_are_refused_as_budget(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("budget exceeded: ")
+        assert "Traceback" not in err
+
 
 LEAVES = st.one_of(st.just("w"), st.integers(0, 9).map(str))
 
@@ -228,6 +244,23 @@ class TestBudgetPlumbing:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("env, flags", [
+        pytest.param(None, ["--max-bits", "10000000000"], id="flag"),
+        pytest.param("10000000000", [], id="env"),
+    ])
+    def test_bit_cap_past_the_digit_guard_limit(self, capsys, monkeypatch, env, flags):
+        # The int-to-str guard takes at most a C int; a wider cap is clamped.
+        if env is None:
+            monkeypatch.delenv("TRANSFINITE_BUDGET_BITS", raising=False)
+        else:
+            monkeypatch.setenv("TRANSFINITE_BUDGET_BITS", env)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        try:
+            assert run(capsys, ["eval", *flags, "1"]) == (0, "1\n", "")
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
     def test_sup_samples_flag_accepted(self, capsys):
         code, out, _ = run(capsys, ["eval", "S(2,w,w)", "--sup-samples", "16"])
         assert (code, out) == (0, "w^2\n")
@@ -239,6 +272,13 @@ class TestSelftest:
         assert code == 0
         assert "pass: all checks succeeded" in out
         assert "FAIL" not in out
+
+    def test_a_wrong_pair_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SELFTEST_PAIRS", cli.SELFTEST_PAIRS + (("2 * w", "w * 2"),))
+        code, out, _ = run(capsys, ["selftest"])
+        assert code == 1
+        assert "FAIL 2 * w: w (wanted w*2)\n" in out
+        assert out.endswith("FAIL: 1 check(s) failed\n")
 
 
 class TestParserReuse:
