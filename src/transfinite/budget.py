@@ -73,9 +73,9 @@ class EvalBudget:
 class Meter:
     """The work counter of one evaluation under one budget.
 
-    Evaluators call step() once per unit of work and check_size() on
-    each value they produce.  lub.sample_and_infer gives a refused
-    sample's work back.  The caps are copied from the frozen budget once.
+    Evaluators call step() per unit of work, charge() for several at one
+    depth and check_size() on each value they produce.  sample_and_infer
+    gives a refused sample's work back.  Caps are copied from the budget once.
     """
 
     __slots__ = ("budget", "work", "max_depth", "max_work", "max_bits")
@@ -88,6 +88,14 @@ class Meter:
 
     def step(self, depth: int) -> None:
         self.work += 1
+        if depth > self.max_depth:
+            raise BudgetExceeded(f"recursion deeper than {self.max_depth}")
+        if self.work > self.max_work:
+            raise BudgetExceeded(f"more than {self.max_work} evaluation steps")
+
+    def charge(self, steps: int, depth: int) -> None:
+        """Take steps >= 1 steps at one depth at once, refusing as step does."""
+        self.work += steps
         if depth > self.max_depth:
             raise BudgetExceeded(f"recursion deeper than {self.max_depth}")
         if self.work > self.max_work:

@@ -205,11 +205,6 @@ def is_additive_principal(x: Ordinal) -> bool:
     return len(x.terms) == 1 and x.terms[0][1] == 1
 
 
-def repeated_term_count(x: Ordinal) -> Natural:
-    """Number of unit terms when coefficients are expanded to repetition."""
-    return sum(c for _, c in x.terms)
-
-
 def is_successor(x: Ordinal) -> bool:
     return bool(x.terms) and x.terms[-1][0] is ZERO
 
@@ -282,8 +277,3 @@ def cnf_height(x: Ordinal) -> Natural:
     supremum up to epsilon_0.
     """
     return x._height
-
-
-def coefficient_bits(x: Ordinal) -> Natural:
-    """Largest bit length among all coefficients anywhere in the form."""
-    return x._bits

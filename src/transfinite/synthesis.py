@@ -133,13 +133,13 @@ def _sup(ctx: _SynthCtx, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Or
     mul(H, prev) at level 3.  Addition and multiplication are
     associative, so the value is the one _fold gives.
 
-    The chain charges what the fold charges, all at the sample's own
-    depth: one step for the sample plus (k-1).bit_length() doublings of
-    _repeat_add at level 2, one step for the sample plus one for the
-    closed power at level 3.  Memo entries and the size check are those
-    of _eval, so budgets refuse exactly the same samples.  The level-3
-    fold's power refuses a non-principal H^(k-1) once k - 1 exceeds
-    max_bits; past that point the sample takes the fold.
+    The chain charges what the fold charges, in one Meter.charge at the
+    sample's own depth: one step for the sample plus (k-1).bit_length()
+    doublings of _repeat_add at level 2, one step for the sample plus one
+    for the closed power at level 3.  Memo entries and the size check are
+    those of _eval, so budgets refuse exactly the same samples.  The
+    level-3 fold's power refuses a non-principal H^(k-1) once k - 1
+    exceeds max_bits; past that point the sample takes the fold.
 
     The chain relies on sample_and_infer's order, 0, 1, then lam[k] =
     w^g*k for k = 0, 1, 2, ..., stopping at the first refusal: sample
@@ -171,8 +171,7 @@ def _sup(ctx: _SynthCtx, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Or
             key = (n, alpha, gamma)
             value = ctx.memo.get(key)
             if value is None:
-                for _ in range(1 + (k - 1).bit_length() if n == 2 else 2):
-                    ctx.step(depth)
+                ctx.charge(1 + (k - 1).bit_length() if n == 2 else 2, depth)
                 value = add(head, prev) if n == 2 else mul(head, prev)
                 ctx.check_size(value)
                 ctx.memo[key] = value

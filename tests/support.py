@@ -21,6 +21,16 @@ def nat(k: int) -> Ordinal:
     return from_natural(k)
 
 
+def repeated_term_count(x: Ordinal) -> int:
+    """Number of unit terms when coefficients are expanded to repetition."""
+    return sum(c for _, c in x.terms)
+
+
+def coefficient_bits(x: Ordinal) -> int:
+    """Largest bit length among all coefficients anywhere in the form."""
+    return x._bits
+
+
 def w_times_plus(a: int, b: int) -> Ordinal:
     """The ordinal w*a + b; covers everything below w^2."""
     return add(mul(W, nat(a)), nat(b))

@@ -8,6 +8,7 @@ per budget, so the final robustness check can rerun them with doubled
 sup sampling and diff successful results instead of paying twice.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -35,13 +36,13 @@ from transfinite.ordinal import (
 )
 from transfinite.reference import reference_check
 from transfinite.synthesis import distributes, naive_ext, synth
-from transfinite.ordinal import repeated_term_count
 
 from support import (
     W,
     nat,
     ordinal_corpus_below_w_w,
     pair_corpus_below_w_w2,
+    repeated_term_count,
     tree_corpus,
 )
 
@@ -415,3 +416,11 @@ def test_criterion_12_sup_sample_insensitivity():
     assert not changed, changed[:5]
     elapsed = time.perf_counter() - t0
     print(f"criterion 12 PASS ({elapsed:.2f}s)", flush=True)
+
+
+def test_mains_report_bytes_at_16_samples():
+    # The 8-sample bytes are pinned in test_mains.TestReportBytes; this run
+    # is shared with criterion 12 through _mains_text's cache.
+    text = _mains_text(2, "w^(w^3)", 16, 1)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "504eb6d962a460971832d8ef5a909179ab3b63fa5e889fa198932fff394d65f2")

@@ -29,6 +29,25 @@ class TestMeter:
         with pytest.raises(BudgetExceeded, match="deeper than"):
             meter.step(2)
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_charge_is_that_many_steps(self, steps, depth):
+        # Starting counts straddle the work cap; depth 2 is past the depth cap.
+        budget = EvalBudget(max_depth=1)
+
+        def outcome(meter, take):
+            try:
+                take()
+            except BudgetExceeded as err:
+                return str(err)
+            return meter.work
+
+        for start in range(budget.max_work - 6, budget.max_work + 2):
+            bulk, single = Meter(budget), Meter(budget)
+            bulk.work = single.work = start
+            assert outcome(bulk, lambda: bulk.charge(steps, depth)) == outcome(
+                single, lambda: [single.step(depth) for _ in range(steps)])
+
     def test_check_size_reads_every_coefficient(self):
         meter = Meter(EvalBudget(max_bits=8))
         meter.check_size(from_natural(255))

@@ -6,7 +6,9 @@ remainder sequence, strictly increasing exponents give w to the limit of
 the exponents, strictly increasing coefficients over w^e give w^(e+1),
 and strictly increasing heights leave epsilon_0's reach entirely.
 """
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -15,14 +17,16 @@ from hypothesis import strategies as st
 from conftest import ordinals
 from support import W, nat, rand_below_w_w, reference_classify, reference_sample_and_infer
 
-from transfinite import lub, synthesis
+from transfinite import lub, ordinal, synthesis
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget, Meter
 from transfinite.errors import BudgetExceeded, NoPatternError, NotRepresentable
 from transfinite.lub import (
     LubInference, _common_term_prefix, classify_lub, infer_lub, sample_and_infer,
 )
-from transfinite.ordinal import ONE, ZERO, cnf_height, omega_power, successor
+from transfinite.ordinal import (
+    ONE, ZERO, cnf_height, fundamental_prefix, omega_power, successor,
+)
 
 B = EvalBudget()
 W2 = pow_(W, nat(2), B)
@@ -580,3 +584,40 @@ class TestTracedCalls:
         in_flight = calls.in_flight()
         assert in_flight and all(len(run) >= 6 and _climbing(run) for run in in_flight)
         assert len(calls.classified) == sum(count for count, _ in calls.sups) + len(in_flight)
+
+
+class TestPoints:
+    """lub._points, the LRU of sample points shared across evaluations."""
+
+    def test_points_are_the_seeds_and_the_prefix(self):
+        for lam in LIMITS:
+            want = (ZERO, ONE, *fundamental_prefix(lam, 8))
+            lub._points.cache_clear()
+            assert lub._points(lam, 8) == want
+            assert lub._points(lam, 8) == want  # warm
+
+    def test_sample_counts_get_their_own_entries(self):
+        lub._points.cache_clear()
+        narrow, wide = lub._points(W2, 8), lub._points(W2, 16)
+        assert (len(narrow), len(wide)) == (10, 18)
+        assert wide[:10] == narrow
+        assert lub._points.cache_info().currsize == 2
+
+    def test_size_is_bounded(self):
+        for k in range(1, 300):
+            lub._points(mul(W, nat(k)), 4)
+        info = lub._points.cache_info()
+        assert info.maxsize == 256 and info.currsize == 256
+
+    def test_clearing_frees_a_limit_only_the_cache_held(self):
+        lam = omega_power(nat(982451653))
+        point = lub._points(lam, 8)[-1]
+        refs = [weakref.ref(lam), weakref.ref(point)]
+        keys = [lam.terms, point.terms]
+        del lam, point
+        gc.collect()
+        assert all(r() is not None for r in refs)
+        lub._points.cache_clear()
+        gc.collect()
+        assert all(r() is None for r in refs)
+        assert not any(k in ordinal._TABLE for k in keys)

@@ -11,7 +11,11 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from conftest import ordinals
-from support import W, nat, pair_corpus_below_w_w2, reference_compare, tree_corpus, w_times_plus
+from support import (
+    W, coefficient_bits, nat, pair_corpus_below_w_w2, reference_compare,
+    repeated_term_count, tree_corpus, w_times_plus,
+)
+from transfinite import lub
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.errors import OrdinalDomainError
 from transfinite.notation import eval_expr, parse
@@ -25,7 +29,6 @@ from transfinite.ordinal import (
     _drop,
     _ord,
     cnf_height,
-    coefficient_bits,
     compare,
     from_natural,
     fundamental_prefix,
@@ -36,7 +39,6 @@ from transfinite.ordinal import (
     limit_and_finite_parts,
     omega_power,
     predecessor,
-    repeated_term_count,
     successor,
 )
 
@@ -124,9 +126,11 @@ class TestInterning:
 
     def test_dead_values_leave_no_entry(self):
         # Distinct summands keep the values apart from those other tests
-        # hold; the memos keep every intermediate alive until the end.
+        # hold; the memos keep every intermediate alive until the end.  The
+        # sample-point cache holds limits on purpose, so it is emptied first.
         pairs = [(add(a, nat(1000 + i)), add(b, nat(5)))
                  for i, (a, b) in enumerate(pair_corpus_below_w_w2(100, seed=11))]
+        lub._points.cache_clear()
         gc.collect()
         baseline = len(_TABLE)
         memos = []
@@ -136,6 +140,7 @@ class TestInterning:
                 synth(n, a, b, memo=memos[-1])
         assert len(_TABLE) > baseline + 1000
         del memos
+        lub._points.cache_clear()
         gc.collect()
         assert len(_TABLE) == baseline
 
