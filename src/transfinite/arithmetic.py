@@ -22,6 +22,7 @@ from .ordinal import (
     Natural,
     Ordinal,
     _ord,
+    from_natural,
     is_additive_principal,
     is_limit,
     limit_and_finite_parts,
@@ -85,7 +86,7 @@ def pow_(x: Ordinal, y: Ordinal, budget: Optional[EvalBudget] = None) -> Ordinal
         n = x.natural_value()
         tail_nat = _nat_pow(n, m, budget)
         if lam is ZERO:
-            return _ord(((ZERO, tail_nat),)) if tail_nat else ZERO
+            return from_natural(tail_nat)
         # n^(w^e) = w^(w^e') with 1 + e' = e, so n^lam = w^delta below.
         delta = _ord(tuple((_strip_leading_one(e), c) for e, c in lam.terms))
         return _ord(((delta, tail_nat),))
@@ -96,7 +97,7 @@ def pow_(x: Ordinal, y: Ordinal, budget: Optional[EvalBudget] = None) -> Ordinal
 def _strip_leading_one(e: Ordinal) -> Ordinal:
     # The unique e' with 1 + e' = e, for e >= 1.  Infinite e absorb the 1.
     if e.is_natural:
-        return _ord(((ZERO, e.natural_value() - 1),)) if e.natural_value() > 1 else ZERO
+        return from_natural(e.natural_value() - 1)
     return e
 
 
@@ -115,8 +116,7 @@ def _pow_finite(x: Ordinal, m: Natural, budget: EvalBudget) -> Ordinal:
         return ONE
     if is_additive_principal(x):
         # (w^a)^m = w^(a*m); a*m is ordinal mul with a natural on the right.
-        nat = _ord(((ZERO, m),))
-        return omega_power(mul(x.terms[0][0], nat))
+        return omega_power(mul(x.terms[0][0], from_natural(m)))
     if m > budget.max_bits:
         # A non-principal base yields on the order of m terms.
         raise BudgetExceeded(f"finite power {m} is too large to expand")

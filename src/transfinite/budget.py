@@ -73,9 +73,9 @@ class EvalBudget:
 class Meter:
     """The work counter of one evaluation under one budget.
 
-    Evaluators call step() per unit of work, charge() for several at one
-    depth and check_size() on each value they produce.  sample_and_infer
-    gives a refused sample's work back.  Caps are copied from the budget once.
+    Evaluators call step() for one or more units of work at one depth
+    and check_size() on each value they produce.  sample_and_infer gives
+    a refused sample's work back.  Caps are copied from the budget once.
     """
 
     __slots__ = ("budget", "work", "max_depth", "max_work", "max_bits")
@@ -86,15 +86,8 @@ class Meter:
         self.max_depth, self.max_work, self.max_bits = (
             budget.max_depth, budget.max_work, budget.max_bits)
 
-    def step(self, depth: int) -> None:
-        self.work += 1
-        if depth > self.max_depth:
-            raise BudgetExceeded(f"recursion deeper than {self.max_depth}")
-        if self.work > self.max_work:
-            raise BudgetExceeded(f"more than {self.max_work} evaluation steps")
-
-    def charge(self, steps: int, depth: int) -> None:
-        """Take steps >= 1 steps at one depth at once, refusing as step does."""
+    def step(self, depth: int, steps: int = 1) -> None:
+        """Take steps >= 1 units of work at one depth, then test both caps."""
         self.work += steps
         if depth > self.max_depth:
             raise BudgetExceeded(f"recursion deeper than {self.max_depth}")

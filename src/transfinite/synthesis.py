@@ -9,7 +9,9 @@ rules (see lub.py).
 
 On naturals the ladder agrees with the rightward hyperoperations in
 hyper.py; that equality is checked in the tests rather than assumed, so
-nothing here may call into hyper.py or native ** / *.
+nothing here may call into hyper.py or native ** / *.  The folds use
+the closed forms of arithmetic.py, which the tests check separately
+(see _combine_run).
 
 ``naive_ext`` is the contrast evaluator: the same integer recursion
 lifted literally to ordinals, one successor step at a time.  It
@@ -29,8 +31,8 @@ from .ordinal import (
     ONE,
     ZERO,
     Ordinal,
-    _ord,
     check_natural,
+    from_natural,
     is_additive_principal,
     is_limit,
     is_successor,
@@ -133,10 +135,10 @@ def _sup(ctx: _SynthCtx, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Or
     mul(H, prev) at level 3.  Addition and multiplication are
     associative, so the value is the one _fold gives.
 
-    The chain charges what the fold charges, in one Meter.charge at the
-    sample's own depth: one step for the sample plus (k-1).bit_length()
-    doublings of _repeat_add at level 2, one step for the sample plus one
-    for the closed power at level 3.  Memo entries and the size check are
+    The chain charges what the fold charges, in one Meter.step at the
+    sample's own depth: one step for the sample plus the level-1 run's
+    (k-1).bit_length() at level 2, one step for the sample plus one for
+    the closed power at level 3.  Memo entries and the size check are
     those of _eval, so budgets refuse exactly the same samples.  The
     level-3 fold's power refuses a non-principal H^(k-1) once k - 1
     exceeds max_bits; past that point the sample takes the fold.
@@ -171,7 +173,7 @@ def _sup(ctx: _SynthCtx, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Or
             key = (n, alpha, gamma)
             value = ctx.memo.get(key)
             if value is None:
-                ctx.charge(1 + (k - 1).bit_length() if n == 2 else 2, depth)
+                ctx.step(depth, 1 + (k - 1).bit_length() if n == 2 else 2)
                 value = add(head, prev) if n == 2 else mul(head, prev)
                 ctx.check_size(value)
                 ctx.memo[key] = value
@@ -215,27 +217,30 @@ def _combine_run(
 ) -> Ordinal:
     """Apply value <- <head, value> at level m, count times.
 
-    Fold levels 1, 2 and 3 are addition, multiplication and power; the
-    agreement suite verifies each of those equalities through a path
-    whose own folds run strictly below it (level-2 folds are literal
-    adds, level-3 folds use the verified multiply), so the fold here
-    may use the closed forms.  Without this the accumulators, which
-    grow past any fixed normal form shape, would be re-decomposed and
-    re-sampled at every step, and evaluation cost would explode with
-    nesting depth instead of staying proportional to term count.
-    Level 4 and above stay literal: one recursive application per unit.
+    Fold levels 1, 2 and 3 are addition, multiplication and power, so
+    the fold here uses the closed forms: head*count, head^count and one
+    power per unit.  The tests check those forms apart from the ladder:
+    mul(x, count) against count literal adds, and add, mul and pow_
+    against the definitional evaluator in reference.py.  Without this
+    the accumulators, which grow past any fixed normal form shape, would
+    be re-decomposed and re-sampled at every step, and evaluation cost
+    would explode with nesting depth instead of staying proportional to
+    term count.  Level 4 and above stay literal: one recursive
+    application per unit.
     """
     if count == 0:
         return value
     if m == 1:
         # count copies of head, then value; addition is associative, so
-        # the copies fold in logarithmically many doublings.
-        return add(_repeat_add(ctx, head, count, depth), value)
+        # the copies are the product head*count.  The run costs
+        # count.bit_length() steps, what summing them by doubling takes.
+        ctx.step(depth, count.bit_length())
+        return add(mul(head, from_natural(count)), value)
     if m == 2:
         # count left-multiplications by head collapse to head^count; the
         # closed power keeps giant unit counts cheap and budget-checked.
         ctx.step(depth)
-        return mul(pow_(head, _ord(((ZERO, count),)), ctx.budget), value)
+        return mul(pow_(head, from_natural(count), ctx.budget), value)
     if m == 3:
         # Iterated powers do not collapse further, but each application
         # is one closed power instead of a descent that re-samples the
@@ -248,27 +253,6 @@ def _combine_run(
     for _ in range(count):
         value = _eval(ctx, m, head, value, depth + 1)
     return value
-
-
-def _repeat_add(ctx: _SynthCtx, x: Ordinal, count: int, depth: int) -> Ordinal:
-    """x added to itself count times (count >= 1).
-
-    Every summand is the same x, so any bracketing equals the right
-    fold; doubling keeps the step count logarithmic in count.  Each
-    doubling is charged to the budget: the adds are cheap individually
-    but chains of these folds grow coefficients fast.
-    """
-    acc: Optional[Ordinal] = None
-    power = x
-    while count:
-        ctx.step(depth)
-        if count & 1:
-            acc = power if acc is None else add(power, acc)
-        count >>= 1
-        if count:
-            power = add(power, power)
-    assert acc is not None
-    return acc
 
 
 def naive_ext(

@@ -5,13 +5,14 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import ordinals
 from support import W, nat, pair_corpus_below_w_w2, rand_below_w_w
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget
 from transfinite.errors import BudgetExceeded, OrdinalDomainError
-from transfinite.ordinal import ONE, ZERO, is_limit, omega_power, successor
+from transfinite.ordinal import ONE, ZERO, from_natural, is_limit, omega_power, successor
 from transfinite.reference import reference_check, reference_eval
 
 
@@ -69,6 +70,14 @@ class TestMul:
     def test_absorbing_zero_and_identity(self, x):
         assert mul(x, ZERO) == ZERO == mul(ZERO, x)
         assert mul(x, ONE) == x == mul(ONE, x)
+
+    @given(ordinals(), st.integers(min_value=1, max_value=40))
+    def test_natural_factor_is_repeated_addition(self, x, n):
+        # The ladder's level-1 runs take x*n for n copies of x.
+        total = x
+        for _ in range(n - 1):
+            total = add(x, total)
+        assert mul(x, from_natural(n)) == total
 
 
 class TestPow:

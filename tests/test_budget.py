@@ -45,7 +45,7 @@ class TestMeter:
         for start in range(budget.max_work - 6, budget.max_work + 2):
             bulk, single = Meter(budget), Meter(budget)
             bulk.work = single.work = start
-            assert outcome(bulk, lambda: bulk.charge(steps, depth)) == outcome(
+            assert outcome(bulk, lambda: bulk.step(depth, steps)) == outcome(
                 single, lambda: [single.step(depth) for _ in range(steps)])
 
     def test_check_size_reads_every_coefficient(self):

@@ -180,6 +180,24 @@ class TestChainedSamples:
         got = _traced(n, value(alpha), value(beta), EvalBudget(sup_samples=samples))
         assert got == (value(expected), work, entries)
 
+    @pytest.mark.parametrize("entry, n, alpha, beta, budget, expected, work, entries", [
+        (_eval, 2, "w+1", "w^2*1000000+w*77+5", B, "w^3*1000000+w^2*77+w*5+1", 75, 17),
+        (_eval, 2, "w^2+3", "w^(w+1)*65537+w^3*3+1", B, "w^(w+1)*65537+w^5*3+w^2+3", 191, 60),
+        (_eval, 2, "3", "w*1048577+9", EvalBudget(sup_samples=16), "w*1048577+27", 88, 18),
+        (synthesis._naive, 2, "3", "w*2+1000001", B, "w", 71, 17),
+        (synthesis._naive, 2, "w+1", "w^2+w*5+70000", B, "w^2", 319, 98),
+        # Each sample k of w runs k copies at depth 1, the depth cap.
+        (synthesis._naive, 2, "w+1", "w+70000", EvalBudget(max_depth=1), "w^2", 43, 9),
+    ])
+    def test_level_one_runs_are_charged_in_bulk(
+        self, entry, n, alpha, beta, budget, expected, work, entries
+    ):
+        # A level-1 run of count units (up to 1048577 here) costs
+        # count.bit_length() steps at the fold's own depth.
+        value = lambda text: eval_expr(parse(text))
+        got = _traced(n, value(alpha), value(beta), budget, entry)
+        assert got == (value(expected), work, entries)
+
 
 class TestTransfiniteFixtures:
     def test_multiplication_level(self):
