@@ -130,6 +130,16 @@ DEEP = st.builds(lambda opener, depth, leaf: opener * depth + leaf + ")" * depth
 # Literal hyperoperation calls: deep levels, cycling bases, huge counts.
 HYPER_CALLS = st.builds("{}({},{},{})".format, st.sampled_from("HL"), st.integers(0, 300),
                         st.integers(0, 5), st.one_of(st.integers(0, 6), st.just(10**9)))
+# Lattice specs for mains, from invalid (0) to the runaway (3, 30, 3).
+LATTICE_SPECS = st.one_of(
+    st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 2)),
+    st.just((3, 30, 3)),
+)
+MAINS = st.builds(
+    lambda i, bound, spec: "mains --index {} --bound {} --depth {} --coeff {} --terms {}"
+    .format(i, bound, *spec).split(),
+    st.integers(1, 2), st.sampled_from(["2", "w", "w^2"]), LATTICE_SPECS,
+)
 COMMANDS = st.one_of(
     st.builds(lambda e: ["eval", e], OPERANDS),
     st.builds(lambda e: ["eval", e], HYPER_CALLS),
@@ -137,6 +147,7 @@ COMMANDS = st.one_of(
     st.builds(lambda a, b: ["cmp", a, b], OPERANDS, OPERANDS),
     st.builds(lambda e: ["eval", e], DEEP),
     st.builds(lambda a, b: ["cmp", a, b], DEEP, st.one_of(DEEP, OPERANDS)),
+    MAINS,
 )
 
 
@@ -222,6 +233,18 @@ class TestMains:
     def test_bound_parse_error(self, capsys):
         code, _, err = run(capsys, ["mains", "--index", "1", "--bound", "w^"])
         assert code == 2
+
+    def test_lattice_spec_refusals_leave_the_report_alone(self, capsys):
+        report = run(capsys, ["mains", "--index", "1", "--bound", "w^3"])
+        code, out, err = run(capsys, ["mains", "--index", "1", "--bound", "w",
+                                      "--coeff", "30", "--terms", "3"])
+        assert (code, out) == (3, "")
+        assert err.startswith("budget exceeded: candidate lattice exceeds")
+        assert "Traceback" not in err
+        code, out, err = run(capsys, ["mains", "--index", "1", "--bound", "w", "--depth", "0"])
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert run(capsys, ["mains", "--index", "1", "--bound", "w^3"]) == report
 
 
 class TestBudgetPlumbing:

@@ -1,8 +1,10 @@
 """Closure scanning: candidate lattices, verdicts with witnesses, and the
 deterministic report JSON."""
+import gc
 import hashlib
 import itertools
 import json
+import weakref
 
 import pytest
 
@@ -10,7 +12,7 @@ from support import W, nat
 
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget
-from transfinite import mains
+from transfinite import mains, ordinal
 from transfinite.errors import BudgetExceeded, OrdinalDomainError
 from transfinite.mains import (
     DEFAULT_LATTICE_SPEC,
@@ -107,6 +109,51 @@ class TestCandidateLattice:
         assert 0 < refused < len(cases)
         assert outcomes[-2] == "candidate lattice exceeds 155 entries"
         assert len(outcomes[-1]) == 156
+
+    def test_calls_return_fresh_lists(self):
+        first, second = candidate_lattice(), candidate_lattice()
+        assert first == second and first is not second
+        first.clear()
+        assert candidate_lattice() == second and len(second) == 156
+
+    def test_cap_is_tested_on_a_cached_lattice(self, monkeypatch):
+        candidate_lattice()
+        assert mains._lattice.cache_info().currsize == 1
+        monkeypatch.setattr(mains, "LATTICE_CAP", 155)
+        with pytest.raises(BudgetExceeded, match="^candidate lattice exceeds 155 entries$"):
+            candidate_lattice()
+        monkeypatch.setattr(mains, "LATTICE_CAP", 156)
+        assert len(candidate_lattice()) == 156
+
+    def test_cache_holds_one_lattice(self):
+        for spec in [(1, 3, 1), (2, 2, 2), DEFAULT_LATTICE_SPEC, (2, 2, 2)]:
+            candidate_lattice(*spec)
+            assert mains._lattice.cache_info().currsize <= 1
+        with pytest.raises(BudgetExceeded):
+            candidate_lattice(depth=3, coeff=30, terms=3)
+        assert mains._lattice.cache_info().currsize <= 1
+
+    def test_bound_is_the_filtered_lattice(self):
+        for spec in [DEFAULT_LATTICE_SPEC, (2, 3, 2)]:
+            full = candidate_lattice(*spec)
+            # Every member (zero among them), then x + 1 and x*2 of each:
+            # non-members between members and values above the top.
+            bounds = set(full) | {add(x, ONE) for x in full} | {mul(x, nat(2)) for x in full}
+            assert any(b not in full and b < full[-1] for b in bounds)
+            assert any(b > full[-1] for b in bounds)
+            for b in bounds:
+                assert candidate_lattice(*spec, bound=b) == [x for x in full if x <= b], b
+
+    def test_clearing_frees_a_value_only_the_cache_held(self):
+        top = candidate_lattice(3, 11, 1)[-1]
+        assert str(top) == "w^(w^11*11)*11"
+        ref, key = weakref.ref(top), top.terms
+        del top
+        gc.collect()
+        assert ref() is not None
+        mains._lattice.cache_clear()
+        gc.collect()
+        assert ref() is None and key not in ordinal._TABLE
 
 
 class TestIsMainNumber:
