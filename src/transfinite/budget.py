@@ -2,14 +2,16 @@
 
 Every potentially expensive evaluation takes an EvalBudget, plain
 immutable data.  Each refusal rule is written here once: the bits rule
-is EvalBudget.check_bits, and a Meter holds the work counter of one
-evaluation and applies the depth, work and size caps to it.
+is EvalBudget.check_bits, and a Meter is the context of one evaluation:
+it holds the work counter and the memo, applies the depth, work and size
+caps, and refuses an overflow of the interpreter stack.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import BudgetExceeded
 from .ordinal import Ordinal, check_natural
@@ -71,20 +73,32 @@ class EvalBudget:
 
 
 class Meter:
-    """The work counter of one evaluation under one budget.
+    """The context of one evaluation: its budget, work counter and memo.
 
-    Evaluators call step() for one or more units of work at one depth
-    and check_size() on each value they produce.  sample_and_infer gives
-    a refused sample's work back.  Caps are copied from the budget once.
+    The default EvalBudget applies when none is given, and a fresh memo
+    unless one is passed to share.  Evaluators run through run(), call
+    step() for one or more units of work at one depth and check_size()
+    on each value they produce.  sample_and_infer gives a refused
+    sample's work back.  Caps are copied from the budget once.
     """
 
-    __slots__ = ("budget", "work", "max_depth", "max_work", "max_bits")
+    __slots__ = ("budget", "memo", "work", "max_depth", "max_work", "max_bits")
 
-    def __init__(self, budget: EvalBudget):
-        self.budget = budget
+    def __init__(self, budget: Optional[EvalBudget] = None, memo: Optional[dict] = None):
+        self.budget = budget = budget or EvalBudget()
+        self.memo = {} if memo is None else memo
         self.work = 0
         self.max_depth, self.max_work, self.max_bits = (
             budget.max_depth, budget.max_work, budget.max_bits)
+
+    def run(self, evaluate, n: int, *args):
+        """Return evaluate(self, n, *args), the operation at level n."""
+        try:
+            return evaluate(self, n, *args)
+        except RecursionError:
+            # The caps normally fire first; this is the backstop for
+            # budgets deeper than the interpreter stack.
+            raise BudgetExceeded(f"recursion exceeded the interpreter stack at level {n}")
 
     def step(self, depth: int, steps: int = 1) -> None:
         """Take steps >= 1 units of work at one depth, then test both caps."""

@@ -37,7 +37,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .budget import EvalBudget, Meter
-from .errors import BudgetExceeded
 from .ordinal import check_natural
 
 Natural = int
@@ -69,18 +68,13 @@ def no_left_identity_witness(e: Natural) -> Natural:
 
 def _tower_eval(n, a, b, budget, leftward):
     check_natural(n, "operation index", 1)
-    budget = budget or EvalBudget()
+    meter = Meter(budget)
     for x in (a, b):
         check_natural(x, "argument")
-        budget.check_bits(x.bit_length())
+        meter.budget.check_bits(x.bit_length())
     if n <= 2:
-        return _flat(budget, n, a, b)
-    try:
-        return _level(Meter(budget), n, a, b, leftward, 1)
-    except RecursionError:
-        # The bit or work cap normally ends a growing chain first; this is
-        # the backstop for budgets deeper than the interpreter stack.
-        raise BudgetExceeded(f"recursion exceeded the interpreter stack at level {n}")
+        return _flat(meter.budget, n, a, b)
+    return meter.run(_level, n, a, b, leftward, 1)
 
 
 def _flat(budget, n, x, y):

@@ -74,24 +74,20 @@ def candidate_lattice(
     """
     for name, v in (("depth", depth), ("coeff", coeff), ("terms", terms)):
         check_natural(v, f"lattice {name}", 1)
-    lattice = _lattice(depth, coeff, terms)
-    # The pool grows with depth, so this refuses exactly the specs the
-    # building loop refuses, also for a lattice kept under another cap.
-    if len(lattice) > LATTICE_CAP:
-        raise BudgetExceeded(f"candidate lattice exceeds {LATTICE_CAP} entries")
+    lattice = _lattice(depth, coeff, terms, LATTICE_CAP)
     return list(lattice if bound is None else lattice[: bisect_right(lattice, bound)])
 
 
 @lru_cache(maxsize=1)
-def _lattice(depth: int, coeff: int, terms: int) -> Tuple[Ordinal, ...]:
+def _lattice(depth: int, coeff: int, terms: int, cap: int) -> Tuple[Ordinal, ...]:
     pool = [ZERO]
     for _ in range(depth):
         # Each (combo, coeffs) below is a distinct normal form, and every
         # nonzero member of pool is one of them (by induction over depth:
         # pool only grows), so the grown pool holds exactly 1 + fresh.
         fresh = sum(math.comb(len(pool), r) * coeff**r for r in range(1, terms + 1))
-        if 1 + fresh > LATTICE_CAP:
-            raise BudgetExceeded(f"candidate lattice exceeds {LATTICE_CAP} entries")
+        if 1 + fresh > cap:
+            raise BudgetExceeded(f"candidate lattice exceeds {cap} entries")
         # exponents are sorted descending, so each combo already is;
         # tuple order on terms is the value order
         exponents = sorted(pool, key=attrgetter("terms"), reverse=True)

@@ -282,11 +282,19 @@ def _eval(node: Expr, budget: EvalBudget) -> Ordinal:
 # --- formatting -----------------------------------------------------------
 
 def format_ordinal(x: Ordinal, style: str = "text") -> str:
-    """Render an ordinal as canonical text or as a JSON document."""
-    if style == "text":
-        return str(x)
-    if style == "json":
-        return json.dumps(_json_obj(x))
+    """Render an ordinal as canonical text or as a JSON document.
+
+    A coefficient longer than the interpreter converts raises BudgetExceeded.
+    """
+    try:
+        if style == "text":
+            return str(x)
+        if style == "json":
+            return json.dumps(_json_obj(x))
+    except ValueError as exc:
+        # int-to-str refuses past the interpreter's limit, which the
+        # command line lifts above what max_bits allows.
+        raise BudgetExceeded(f"rendering failed: {exc}") from exc
     raise ValueError(f"unknown style {style!r}")
 
 

@@ -127,7 +127,7 @@ def compare(x: Ordinal, y: Ordinal) -> int:
     missing term counting as smaller: tuple order on `terms`.  It skips
     equal terms in C and recurses into a differing exponent at about four
     interpreter levels per nesting level, so at the default recursion limit
-    it fails from height 250 (300 on 3.12, about 1000 on 3.13); synth._run
+    it fails from height 250 (300 on 3.12, about 1000 on 3.13); Meter.run
     and cli.main refuse that RecursionError as a budget fault, exit 3.
     """
     if x is y:

@@ -75,7 +75,7 @@ def reference_eval(
 ) -> Ordinal:
     """Evaluate x <op> y by unfolding the defining recursion on y."""
     base, combine, closed = _op(op)
-    meter = Meter(budget or EvalBudget())
+    meter = Meter(budget)
     memo = {}
 
     def unfold(y: Ordinal, depth: int) -> Ordinal:
@@ -110,5 +110,4 @@ def reference_eval(
 
 def reference_check(op: str, x: Ordinal, y: Ordinal, budget=None) -> bool:
     """True when the closed form and the recursion agree on (x, y)."""
-    budget = budget or EvalBudget()
     return _op(op)[2](x, y, budget) == reference_eval(op, x, y, budget)

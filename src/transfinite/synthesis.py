@@ -25,7 +25,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 from .arithmetic import add, mul, pow_
 from .budget import EvalBudget, Meter
-from .errors import BudgetExceeded, OrdinalDomainError
+from .errors import OrdinalDomainError
 from .lub import sample_and_infer
 from .ordinal import (
     ONE,
@@ -83,27 +83,12 @@ def sup_limit(
     return _run(_principal_sup, n, alpha, lam, budget, None)
 
 
-class _SynthCtx(Meter):
-    __slots__ = ("memo",)
-
-    def __init__(self, budget: EvalBudget, memo: Optional[Memo]):
-        super().__init__(budget)
-        self.memo = memo if memo is not None else {}
-
-
 def _run(evaluate, n, alpha, beta, budget, memo):
-    """Check the arguments and run evaluate(ctx, n, alpha, beta, 0)."""
     _check_args(n, alpha, beta)
-    ctx = _SynthCtx(budget or EvalBudget(), memo)
-    try:
-        return evaluate(ctx, n, alpha, beta, 0)
-    except RecursionError:
-        # The depth cap normally fires first; this is the backstop for
-        # budgets deeper than the interpreter stack.
-        raise BudgetExceeded(f"recursion exceeded the interpreter stack at level {n}")
+    return Meter(budget, memo).run(evaluate, n, alpha, beta, 0)
 
 
-def _eval(ctx: _SynthCtx, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> Ordinal:
+def _eval(ctx: Meter, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> Ordinal:
     key = (n, alpha, beta)
     hit = ctx.memo.get(key)
     if hit is not None:
@@ -125,7 +110,7 @@ def _eval(ctx: _SynthCtx, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> 
     return result
 
 
-def _sup(ctx: _SynthCtx, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordinal:
+def _sup(ctx: Meter, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordinal:
     """Supremum at lam = w^e by sampling, each sample at depth + 1.
 
     At levels 2 and 3 with a successor exponent e = g + 1 the samples
@@ -185,13 +170,13 @@ def _sup(ctx: _SynthCtx, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Or
     return sample_and_infer(eval_at, lam, ctx)
 
 
-def _principal_sup(ctx: _SynthCtx, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordinal:
+def _principal_sup(ctx: Meter, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordinal:
     if not (is_additive_principal(lam) and is_limit(lam)):
         raise OrdinalDomainError(f"{lam} is not an additive-principal limit")
     return _sup(ctx, n, alpha, lam, depth)
 
 
-def _fold(ctx: _SynthCtx, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> Ordinal:
+def _fold(ctx: Meter, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> Ordinal:
     """Right-to-left fold of beta's additive units at level n - 1.
 
     With beta = u_1 + ... + u_k (units in CNF order) the value is
@@ -213,7 +198,7 @@ def _fold(ctx: _SynthCtx, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> 
 
 
 def _combine_run(
-    ctx: _SynthCtx, m: int, head: Ordinal, count: int, value: Ordinal, depth: int
+    ctx: Meter, m: int, head: Ordinal, count: int, value: Ordinal, depth: int
 ) -> Ordinal:
     """Apply value <- <head, value> at level m, count times.
 
@@ -271,7 +256,7 @@ def naive_ext(
     return _run(_naive, n, alpha, beta, budget, None)
 
 
-def _naive(ctx: _SynthCtx, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> Ordinal:
+def _naive(ctx: Meter, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> Ordinal:
     key = (-n, alpha, beta)  # negated level keys keep naive values apart
     hit = ctx.memo.get(key)
     if hit is not None:
@@ -325,7 +310,6 @@ def distributes(
     total_units = sum(count for _, count in beta.terms)
     if total_units < 2:
         raise OrdinalDomainError(f"{beta} has fewer than two additive units")
-    budget = budget or EvalBudget()
 
     direct = synth(n, alpha, beta, budget)
 
@@ -333,7 +317,7 @@ def distributes(
     for exp, _ in reversed(beta.terms):
         unit = omega_power(exp)
         units[(n, alpha, unit)] = synth(n, alpha, unit, budget)
-    folded = _fold(_SynthCtx(budget, units), n, alpha, beta, 0)
+    folded = Meter(budget, units).run(_fold, n, alpha, beta, 0)
     return DistributionCheck(folded, direct, folded == direct)
 
 

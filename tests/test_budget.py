@@ -8,6 +8,40 @@ from transfinite.ordinal import OMEGA, from_natural
 
 
 class TestMeter:
+    def test_default_budget(self):
+        assert Meter().budget == EvalBudget()
+
+    def test_fresh_memo_per_meter(self):
+        first, second = Meter(), Meter()
+        assert first.memo == {} and first.memo is not second.memo
+
+    def test_passed_memo_is_the_one_filled(self):
+        memo = {}
+        meter = Meter(EvalBudget(), memo)
+
+        def evaluate(meter, n, key):
+            meter.memo[key] = n
+            return n
+
+        assert meter.run(evaluate, 3, "k") == 3
+        assert meter.memo is memo and memo == {"k": 3}
+
+    def test_run_refuses_an_interpreter_stack_overflow(self):
+        def evaluate(meter, n):
+            raise RecursionError
+
+        with pytest.raises(BudgetExceeded, match="interpreter stack at level 7$"):
+            Meter().run(evaluate, 7)
+
+    @pytest.mark.parametrize("exc", [BudgetExceeded("cap"), ValueError("v"), KeyError("k")])
+    def test_run_lets_other_exceptions_through(self, exc):
+        def evaluate(meter, n):
+            raise exc
+
+        with pytest.raises(type(exc)) as info:
+            Meter().run(evaluate, 2)
+        assert info.value is exc
+
     def test_depth_cap(self):
         meter = Meter(EvalBudget(max_depth=4))
         meter.step(4)

@@ -187,6 +187,23 @@ class TestFormatting:
         doc = json.loads(format_ordinal(from_natural(10**30), "json"))
         assert doc["terms"][0]["coeff"] == str(10**30)
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="interpreter has no int-to-str limit")
+    @pytest.mark.parametrize("style", ["text", "json"])
+    def test_coefficient_past_the_conversion_limit_is_refused(self, style):
+        # 10^1000 has 1001 digits but only 3,322 bits, well under max_bits;
+        # outside the command line nothing lifts the conversion limit.
+        wide = eval_expr(parse("H(3,10,1000)"))
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(1000)
+        try:
+            for x in (wide, add(W, wide), pow_(W, wide, B)):
+                with pytest.raises(BudgetExceeded, match="rendering failed"):
+                    format_ordinal(x, style)
+            assert "9" * 1000 in format_ordinal(from_natural(10**1000 - 1), style)
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     def test_unknown_style_rejected(self):
         with pytest.raises(ValueError):
             format_ordinal(W, "latex")

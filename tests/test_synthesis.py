@@ -17,7 +17,7 @@ from support import W, nat, pair_corpus_below_w_w2, rand_tree
 from transfinite import synthesis
 
 from transfinite.arithmetic import add, mul, pow_
-from transfinite.budget import EvalBudget
+from transfinite.budget import EvalBudget, Meter
 from transfinite.errors import BudgetExceeded, NotRepresentable, OrdinalDomainError
 from transfinite.hyper import hyper
 from transfinite.lub import sample_and_infer
@@ -26,7 +26,6 @@ from transfinite.ordinal import ONE, ZERO, from_natural, omega_power
 from transfinite.synthesis import (
     DistributionCheck,
     _eval,
-    _SynthCtx,
     distributes,
     naive_ext,
     sup_limit,
@@ -110,7 +109,7 @@ def _plain_sup(ctx, n, alpha, lam, depth):
 
 def _traced(n, alpha, beta, budget, entry=_eval):
     """(value or exception type, work steps, memo entries) of a fresh evaluation."""
-    ctx = _SynthCtx(budget, None)
+    ctx = Meter(budget)
     try:
         value = entry(ctx, n, alpha, beta, 0)
     except (BudgetExceeded, NotRepresentable) as err:
@@ -360,8 +359,8 @@ class TestDomainAndMemo:
 
     @pytest.mark.parametrize(
         "evaluate, beta",
-        [(synth, nat(2)), (naive_ext, nat(2)), (sup_limit, W)],
-        ids=["synth", "naive_ext", "sup_limit"],
+        [(synth, nat(2)), (naive_ext, nat(2)), (sup_limit, W), (distributes, nat(2))],
+        ids=["synth", "naive_ext", "sup_limit", "distributes"],
     )
     def test_interpreter_stack_overflow_is_refused(self, evaluate, beta):
         # A depth cap past the interpreter stack lets the stack overflow
