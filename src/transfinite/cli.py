@@ -102,9 +102,11 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_PARSE
     # The bit cap bounds every natural produced, but rendering one can
     # still trip the interpreter's int-to-str guard; lift it to match, up
-    # to the largest limit the interpreter accepts (a C int).
+    # to the largest limit the interpreter accepts (a C int), for this
+    # command only (0 means no limit).
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     digits = min(budget.max_bits // 3 + 16, 2**31 - 1)
-    if hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits() < digits:
+    if 0 < saved < digits:
         sys.set_int_max_str_digits(digits)
     try:
         return args.run(args, budget)
@@ -121,6 +123,9 @@ def main(argv: Optional[list] = None) -> int:
     except NotRepresentable as exc:
         print(f"not representable: {exc}", file=sys.stderr)
         return EXIT_UNREPRESENTABLE
+    finally:
+        if 0 < saved < digits:
+            sys.set_int_max_str_digits(saved)
 
 
 def _cmd_eval(args, budget: EvalBudget) -> int:

@@ -134,14 +134,14 @@ def is_main_number(
         raise OrdinalDomainError(f"candidate must be an Ordinal > 0, got {delta!r}")
     depth, coeff, terms = lattice_spec
     entries = candidate_lattice(depth, coeff, terms)
-    return _classify(i, delta, entries, budget or EvalBudget(), {})
+    return _classify(i, delta, entries, budget, {})
 
 
 def _classify(
     i: int,
     delta: Ordinal,
     entries: Sequence[Ordinal],
-    budget: EvalBudget,
+    budget: Optional[EvalBudget],
     memo: Memo,
 ) -> MainVerdict:
     below = entries[: bisect_left(entries, delta)]
@@ -152,7 +152,8 @@ def _classify(
 
 
 def _escape(
-    i: int, delta: Ordinal, alpha: Ordinal, beta: Ordinal, budget: EvalBudget, memo: Memo
+    i: int, delta: Ordinal, alpha: Ordinal, beta: Ordinal,
+    budget: Optional[EvalBudget], memo: Memo,
 ) -> Tuple[bool, Optional[Ordinal]]:
     """Whether the pair (alpha, beta) escapes delta, and its value.
 
@@ -171,7 +172,7 @@ def _search(
     i: int,
     delta: Ordinal,
     below: Sequence[Ordinal],
-    budget: EvalBudget,
+    budget: Optional[EvalBudget],
     memo: Memo,
 ) -> MainVerdict:
     """The least escaping pair in (alpha, beta) order, found by bisection.
@@ -205,7 +206,7 @@ def _scan(
     i: int,
     delta: Ordinal,
     below: Sequence[Ordinal],
-    budget: EvalBudget,
+    budget: Optional[EvalBudget],
     memo: Memo,
 ) -> MainVerdict:
     """Every alpha in order, then beta in order; refusals are counted."""

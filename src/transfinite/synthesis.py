@@ -49,8 +49,8 @@ __all__ = [
     "DistributionCheck",
 ]
 
-MemoKey = Tuple[int, Ordinal, Ordinal]
-Memo = Dict[MemoKey, Ordinal]
+# One table per (level, alpha): memo[n, alpha][beta]; naive_ext's at level -n.
+Memo = Dict[Tuple[int, Ordinal], Dict[Ordinal, Ordinal]]
 
 
 def synth(
@@ -64,7 +64,9 @@ def synth(
     """Level-n ladder operation applied to (alpha, beta).
 
     A caller may pass a shared ``memo`` dict to reuse sub-results across
-    calls; only share one between calls made with the same budget.
+    calls; only share one between calls made with the same budget.  It
+    holds one table per (level, alpha): the value of synth(n, alpha,
+    beta) is at memo[n, alpha][beta].
     """
     return _run(_eval, n, alpha, beta, budget, memo)
 
@@ -89,8 +91,10 @@ def _run(evaluate, n, alpha, beta, budget, memo):
 
 
 def _eval(ctx: Meter, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> Ordinal:
-    key = (n, alpha, beta)
-    hit = ctx.memo.get(key)
+    table = ctx.memo.get((n, alpha))
+    if table is None:
+        table = ctx.memo[n, alpha] = {}
+    hit = table.get(beta)
     if hit is not None:
         return hit
     ctx.step(depth)
@@ -106,7 +110,7 @@ def _eval(ctx: Meter, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> Ordi
     else:
         result = _fold(ctx, n, alpha, beta, depth)
     ctx.check_size(result)
-    ctx.memo[key] = result
+    table[beta] = result
     return result
 
 
@@ -146,6 +150,7 @@ def _sup(ctx: Meter, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordina
     if not 2 <= n <= 3 or not is_successor(exp):
         return sample_and_infer(lambda gamma: _eval(ctx, n, alpha, gamma, depth), lam, ctx)
     g = predecessor(exp)
+    table = ctx.memo.setdefault((n, alpha), {})
     head = prev = None  # the values of sample w^g and of the last sample
 
     def eval_at(gamma: Ordinal) -> Ordinal:
@@ -155,13 +160,12 @@ def _sup(ctx: Meter, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordina
         if k < 2 or (n == 3 and k - 1 > ctx.max_bits):
             value = _eval(ctx, n, alpha, gamma, depth)
         else:
-            key = (n, alpha, gamma)
-            value = ctx.memo.get(key)
+            value = table.get(gamma)
             if value is None:
                 ctx.step(depth, 1 + (k - 1).bit_length() if n == 2 else 2)
                 value = add(head, prev) if n == 2 else mul(head, prev)
                 ctx.check_size(value)
-                ctx.memo[key] = value
+                table[gamma] = value
         if k == 1:
             head = value
         prev = value
@@ -257,8 +261,8 @@ def naive_ext(
 
 
 def _naive(ctx: Meter, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> Ordinal:
-    key = (-n, alpha, beta)  # negated level keys keep naive values apart
-    hit = ctx.memo.get(key)
+    table = ctx.memo.setdefault((-n, alpha), {})  # negated levels keep naive values apart
+    hit = table.get(beta)
     if hit is not None:
         return hit
     ctx.step(depth)
@@ -280,7 +284,7 @@ def _naive(ctx: Meter, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> Ord
                 value = _naive(ctx, n - 1, alpha, value, depth + 1)
         result = value
     ctx.check_size(result)
-    ctx.memo[key] = result
+    table[beta] = result
     return result
 
 
@@ -313,11 +317,11 @@ def distributes(
 
     direct = synth(n, alpha, beta, budget)
 
-    units: Memo = {}
+    units = {}
     for exp, _ in reversed(beta.terms):
         unit = omega_power(exp)
-        units[(n, alpha, unit)] = synth(n, alpha, unit, budget)
-    folded = Meter(budget, units).run(_fold, n, alpha, beta, 0)
+        units[unit] = synth(n, alpha, unit, budget)
+    folded = Meter(budget, {(n, alpha): units}).run(_fold, n, alpha, beta, 0)
     return DistributionCheck(folded, direct, folded == direct)
 
 

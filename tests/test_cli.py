@@ -11,6 +11,8 @@ from hypothesis import given, settings
 
 from transfinite import cli
 from transfinite.cli import main
+from transfinite.errors import BudgetExceeded
+from transfinite.notation import eval_expr, format_ordinal, parse
 
 
 def run(capsys, argv):
@@ -283,6 +285,25 @@ class TestBudgetPlumbing:
         finally:
             if limit is not None:
                 sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="the int-to-str limit exists from Python 3.11")
+    @pytest.mark.parametrize("argv, code", [
+        (["cmp", "1", "2"], 0),
+        (["eval", "w^"], 2),
+    ], ids=["answer", "parse-error"])
+    def test_int_to_str_limit_is_restored(self, capsys, argv, code):
+        # The lift lasts one command, so a library caller's rendering does
+        # not depend on an earlier CLI call.
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert run(capsys, argv)[0] == code
+            assert sys.get_int_max_str_digits() == 4300
+            with pytest.raises(BudgetExceeded):
+                format_ordinal(eval_expr(parse("H(3,10,4400)")))
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     def test_sup_samples_flag_accepted(self, capsys):
         code, out, _ = run(capsys, ["eval", "S(2,w,w)", "--sup-samples", "16"])

@@ -317,3 +317,24 @@ class TestReportBytes:
     def test_report_sha256(self, i, bound, sha):
         text = json.dumps(enumerate_main_numbers(i, bound).json_dict(), indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+def test_shared_memo_holds_one_table_per_level_and_alpha(monkeypatch):
+    # The report's shared memo maps (level, alpha) to a table keyed by
+    # beta; its counts are those of the flat (level, alpha, beta) layout.
+    memos = []
+
+    def recording(i, alpha, beta, budget, memo):
+        memos.append(memo)
+        return synth(i, alpha, beta, budget, memo=memo)
+
+    monkeypatch.setattr(mains, "synth", recording)
+    enumerate_main_numbers(2, pow_(W, pow_(W, nat(3), B), B))
+    memo = memos[0]
+    assert all(m is memo for m in memos)
+    assert len(memo) == 70
+    assert sum(map(len, memo.values())) == 53857
+    for key, table in memo.items():
+        level, alpha = key
+        assert type(level) is int and level in (2, 3) and isinstance(alpha, Ordinal)
+        assert all(isinstance(beta, Ordinal) for beta in table)

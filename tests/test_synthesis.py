@@ -114,7 +114,7 @@ def _traced(n, alpha, beta, budget, entry=_eval):
         value = entry(ctx, n, alpha, beta, 0)
     except (BudgetExceeded, NotRepresentable) as err:
         value = type(err)
-    return value, ctx.work, len(ctx.memo)
+    return value, ctx.work, sum(map(len, ctx.memo.values()))
 
 
 class TestChainedSamples:
@@ -305,6 +305,17 @@ class TestNaiveExtension:
         # itself, so the tower of values stalls at w^2.
         assert naive_ext(3, W, add(W, nat(2)), B) == W2
 
+    def test_tables_at_negated_levels_keep_naive_values_apart(self):
+        # One memo holds both evaluators: naive_ext's tables sit at -n,
+        # so the ladder's value at the same (n, alpha, beta) stays its own.
+        ctx = Meter(B)
+        beta = add(W, nat(2))
+        assert synthesis._naive(ctx, 3, nat(2), beta, 0) == W
+        assert {level for level, _ in ctx.memo} == {-3, -2}
+        assert synthesis._eval(ctx, 3, nat(2), beta, 0) == mul(W, nat(4))
+        assert {level for level, _ in ctx.memo} == {-3, -2, 3}
+        assert ctx.memo[-3, nat(2)][beta] == W
+
     def test_ladder_does_not_collapse_there(self):
         assert synth(2, W, add(W, ONE), B) == add(W2, W)
         assert synth(3, W, add(W, nat(2)), B) == pow_(W, add(W, nat(2)), B)
@@ -374,7 +385,7 @@ class TestDomainAndMemo:
         again = synth(4, nat(2), add(W, ONE), B, memo=memo)
         assert first == again == W2
         # The memo must have been consulted, not just written.
-        assert (4, nat(2), add(W, ONE)) in memo
+        assert add(W, ONE) in memo[4, nat(2)]
 
     def test_identity_steps(self):
         for n in (2, 3, 4, 7):
