@@ -10,7 +10,7 @@ caps, and refuses an overflow of the interpreter stack.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 from .errors import BudgetExceeded
@@ -28,8 +28,7 @@ DEFAULT_SUP_SAMPLES = 8
 WORK_PER_DEPTH = 256
 
 
-@dataclass(frozen=True)
-class EvalBudget:
+class EvalBudget(namedtuple("EvalBudget", "max_depth max_bits sup_samples")):
     """Caps for one evaluation.
 
     max_depth    recursion depth cap; also bounds total expansion work
@@ -37,15 +36,21 @@ class EvalBudget:
     max_bits     bit-length cap for any natural number produced,
                  including coefficients inside a normal form
     sup_samples  how far along a fundamental sequence a supremum is sampled
+
+    A budget is the tuple of its caps: EvalBudget() == (256, 16384, 8).
     """
 
-    max_depth: int = DEFAULT_MAX_DEPTH
-    max_bits: int = DEFAULT_MAX_BITS
-    sup_samples: int = DEFAULT_SUP_SAMPLES
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("max_depth", "max_bits", "sup_samples"):
-            check_natural(getattr(self, name), name, 1)
+    def __new__(cls, max_depth: int = DEFAULT_MAX_DEPTH, max_bits: int = DEFAULT_MAX_BITS,
+                sup_samples: int = DEFAULT_SUP_SAMPLES):
+        self = tuple.__new__(cls, (max_depth, max_bits, sup_samples))
+        for name, value in zip(self._fields, self):
+            check_natural(value, name, 1)
+        return self
+
+    # _replace builds through _make; keep it behind the same checks.
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def max_work(self) -> int:

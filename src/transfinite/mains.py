@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -233,8 +232,7 @@ def _scan(
     return MainVerdict(delta, True, None, None, skipped)
 
 
-@dataclass(frozen=True)
-class MainNumberReport:
+class MainNumberReport(NamedTuple):
     op_index: int
     bound: Ordinal
     lattice_spec: Tuple[int, int, int]

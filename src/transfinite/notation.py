@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import List, Optional, Tuple, Union
 
 from .arithmetic import add, mul, pow_
@@ -36,60 +36,60 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NatLit:
-    value: int
+class _Node:
+    """A node equals only a node of its own type (Add(a, b) != Mul(a, b)),
+    hashes by its fields and is always true, even the fieldless Omega()."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __bool__(self):
+        return True
 
 
-@dataclass(frozen=True)
-class Omega:
-    pass
+# Every index, NatLit's value and the operands of Hyper and LeftHyper are
+# naturals; every other field is an Expr.
+class NatLit(_Node, namedtuple("NatLit", "value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+class Omega(_Node, namedtuple("Omega", "")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Add(_Node, namedtuple("Add", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: "Expr"
+class Mul(_Node, namedtuple("Mul", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Hyper:
-    index: int
-    base: int
-    arg: int
+class Pow(_Node, namedtuple("Pow", "base exponent")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LeftHyper:
-    index: int
-    base: int
-    arg: int
+class Hyper(_Node, namedtuple("Hyper", "index base arg")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Synth:
-    index: int
-    left: "Expr"
-    right: "Expr"
+class LeftHyper(_Node, namedtuple("LeftHyper", "index base arg")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NaiveExt:
-    index: int
-    left: "Expr"
-    right: "Expr"
+class Synth(_Node, namedtuple("Synth", "index left right")):
+    __slots__ = ()
+
+
+class NaiveExt(_Node, namedtuple("NaiveExt", "index left right")):
+    __slots__ = ()
 
 
 Expr = Union[NatLit, Omega, Add, Mul, Pow, Hyper, LeftHyper, Synth, NaiveExt]
@@ -284,16 +284,17 @@ def _eval(node: Expr, budget: EvalBudget) -> Ordinal:
 def format_ordinal(x: Ordinal, style: str = "text") -> str:
     """Render an ordinal as canonical text or as a JSON document.
 
-    A coefficient longer than the interpreter converts raises BudgetExceeded.
+    A coefficient longer than the interpreter converts, or a tower too
+    tall for the interpreter stack, raises BudgetExceeded.
     """
     try:
         if style == "text":
             return str(x)
         if style == "json":
             return json.dumps(_json_obj(x))
-    except ValueError as exc:
-        # int-to-str refuses past the interpreter's limit, which the
-        # command line lifts above what max_bits allows.
+    except (ValueError, RecursionError) as exc:
+        # int-to-str refuses past the interpreter's limit (the command line
+        # lifts it to match max_bits); a tall tower overflows the stack.
         raise BudgetExceeded(f"rendering failed: {exc}") from exc
     raise ValueError(f"unknown style {style!r}")
 

@@ -113,6 +113,15 @@ class TestValidation:
     def test_max_work_follows_depth(self):
         assert EvalBudget(max_depth=3).max_work == 3 * 256
 
+    def test_positional_and_keyword_construction_agree(self):
+        budget = EvalBudget(16, 64, 4)
+        assert budget == EvalBudget(max_depth=16, max_bits=64, sup_samples=4)
+        assert hash(budget) == hash(EvalBudget(max_depth=16, max_bits=64, sup_samples=4))
+
+    def test_fields_are_read_only(self):
+        with pytest.raises(AttributeError):
+            EvalBudget().max_depth = 1
+
 
 class TestFromEnv:
     def test_defaults_without_the_variable(self, monkeypatch):

@@ -1,9 +1,11 @@
 """Command line driver, run in process through main(argv)."""
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 import hypothesis.strategies as st
@@ -357,6 +359,17 @@ class TestParserReuse:
             capture_output=True, text=True,
         )
         assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+    def test_import_loads_no_dataclasses(self):
+        # -S keeps site's .pth files, which may import anything, out of it.
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys, transfinite.cli;"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
     @pytest.mark.parametrize("argv, code", ARGVS)
     def test_shared_parser_matches_a_fresh_one(self, capsys, monkeypatch, argv, code):

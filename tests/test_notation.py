@@ -25,7 +25,7 @@ from transfinite.notation import (
     format_ordinal,
     parse,
 )
-from transfinite.ordinal import ONE, from_natural
+from transfinite.ordinal import ONE, from_natural, omega_power
 
 B = EvalBudget()
 
@@ -60,6 +60,39 @@ class TestParseTrees:
 
     def test_function_args_may_nest(self):
         assert parse("S(2, S(1,w,w), 2)") == Synth(2, Synth(1, Omega(), Omega()), NatLit(2))
+
+
+class TestNodes:
+    """The nodes compare, hash and print as frozen records of their type."""
+
+    @pytest.mark.parametrize("one, other", [
+        (Add(Omega(), NatLit(2)), Mul(Omega(), NatLit(2))),
+        (Mul(Omega(), NatLit(2)), Pow(Omega(), NatLit(2))),
+        (Hyper(3, 2, 5), LeftHyper(3, 2, 5)),
+        (Synth(2, Omega(), Omega()), NaiveExt(2, Omega(), Omega())),
+        (Add(Omega(), NatLit(2)), (Omega(), NatLit(2))),
+    ])
+    def test_equal_fields_of_another_type_are_unequal(self, one, other):
+        assert one != other and not one == other
+        assert other != one and not other == one
+
+    def test_equal_nodes_hash_equal(self):
+        assert parse("S(4, w+2, 3)") == parse("S(4,w + 2,3)")
+        assert hash(parse("S(4, w+2, 3)")) == hash(parse("S(4,w + 2,3)"))
+        assert len({parse("w*2"), parse("w * 2"), parse("w + w")}) == 2
+
+    def test_fields_are_read_only(self):
+        node = parse("w+2")
+        with pytest.raises(AttributeError):
+            node.left = NatLit(1)
+        with pytest.raises(AttributeError):
+            node.extra = 1
+
+    def test_every_node_is_true(self):
+        assert bool(Omega())
+
+    def test_repr_names_the_fields(self):
+        assert repr(parse("w+2")) == "Add(left=Omega(), right=NatLit(value=2))"
 
 
 class TestParseErrors:
@@ -203,6 +236,18 @@ class TestFormatting:
             assert "9" * 1000 in format_ordinal(from_natural(10**1000 - 1), style)
         finally:
             sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("style", ["text", "json"])
+    def test_tower_past_the_interpreter_stack_is_refused(self, style):
+        def tower(height):
+            x = ONE
+            for _ in range(height):
+                x = omega_power(x)
+            return x
+
+        with pytest.raises(BudgetExceeded, match="rendering failed"):
+            format_ordinal(tower(2000), style)
+        assert format_ordinal(tower(100), style)
 
     def test_unknown_style_rejected(self):
         with pytest.raises(ValueError):
