@@ -117,7 +117,7 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (BudgetExceeded, RecursionError) as exc:
-        # RecursionError: the parser and eval_expr recurse on nesting depth.
+        # RecursionError: `<` outside compare, as when mains sorts a deep lattice.
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except NotRepresentable as exc:

@@ -40,7 +40,6 @@ __all__ = [
     "is_main_number",
     "enumerate_main_numbers",
     "MainVerdict",
-    "Refutation",
     "ConjectureRow",
     "MainNumberReport",
     "DEFAULT_LATTICE_SPEC",
@@ -68,8 +67,7 @@ def candidate_lattice(
 
     The sorted lattice of the most recent spec is kept for the process,
     and each call returns a fresh list.  The heaviest spec under the cap,
-    (2, 7, 4), has 188,707 entries, takes about 2 s to build and keeps
-    about 105 MiB of RSS while it is held.
+    (2, 7, 4), has 188,707 entries.
     """
     for name, v in (("depth", depth), ("coeff", coeff), ("terms", terms)):
         check_natural(v, f"lattice {name}", 1)
@@ -105,13 +103,6 @@ class MainVerdict(NamedTuple):
     witness: Optional[Tuple[Ordinal, Ordinal]]
     value: Optional[Ordinal]                # None with a witness: >= epsilon_0
     pairs_skipped: int                      # pairs the budget refused to settle
-
-
-class Refutation(NamedTuple):
-    candidate: Ordinal
-    alpha: Ordinal
-    beta: Ordinal
-    value: Optional[Ordinal]
 
 
 class ConjectureRow(NamedTuple):
@@ -240,7 +231,7 @@ class MainNumberReport(NamedTuple):
     candidates_scanned: int
     confirmed: Tuple[Ordinal, ...]
     confirmed_infinite: Tuple[Ordinal, ...]
-    refuted: Tuple[Refutation, ...]
+    refuted: Tuple[MainVerdict, ...]
     conjectured_match: Tuple[ConjectureRow, ...]
     all_match: bool
     pairs_skipped: int
@@ -255,18 +246,14 @@ class MainNumberReport(NamedTuple):
                 "coeff": self.lattice_spec[1],
                 "terms": self.lattice_spec[2],
             },
-            "budget": {
-                "max_depth": self.budget.max_depth,
-                "max_bits": self.budget.max_bits,
-                "sup_samples": self.budget.sup_samples,
-            },
+            "budget": self.budget._asdict(),
             "candidates_scanned": self.candidates_scanned,
             "confirmed": [str(x) for x in self.confirmed],
             "confirmed_infinite": [str(x) for x in self.confirmed_infinite],
             "refuted": [
                 {
                     "candidate": str(r.candidate),
-                    "witness": [str(r.alpha), str(r.beta)],
+                    "witness": [str(x) for x in r.witness],
                     "value": "NotRepresentable" if r.value is None else str(r.value),
                 }
                 for r in self.refuted
@@ -310,18 +297,8 @@ def enumerate_main_numbers(
     candidates = [x for x in entries if not x.is_zero]
 
     memo: Memo = {}
-    confirmed: List[Ordinal] = []
-    refuted: List[Refutation] = []
-    skipped = 0
-    for delta in candidates:
-        verdict = _classify(i, delta, entries, budget, memo)
-        skipped += verdict.pairs_skipped
-        if verdict.main:
-            confirmed.append(delta)
-        else:
-            alpha, beta = verdict.witness
-            refuted.append(Refutation(delta, alpha, beta, verdict.value))
-
+    verdicts = [_classify(i, delta, entries, budget, memo) for delta in candidates]
+    confirmed = [v.candidate for v in verdicts if v.main]
     confirmed_infinite = [x for x in confirmed if not x.is_natural]
     rows: List[ConjectureRow] = []
     all_match = True
@@ -329,12 +306,9 @@ def enumerate_main_numbers(
         try:
             expected = synth(i + 1, OMEGA, omega_power(from_natural(rank)), budget, memo=memo)
             expected_text = str(expected)
-        except NotRepresentable:
+        except (NotRepresentable, BudgetExceeded) as exc:
             expected = None
-            expected_text = "NotRepresentable"
-        except BudgetExceeded:
-            expected = None
-            expected_text = "BudgetExceeded"
+            expected_text = type(exc).__name__
         observed = confirmed_infinite[rank] if rank < len(confirmed_infinite) else None
         if observed is None:
             match: Optional[bool] = None
@@ -351,8 +325,8 @@ def enumerate_main_numbers(
         candidates_scanned=len(candidates),
         confirmed=tuple(confirmed),
         confirmed_infinite=tuple(confirmed_infinite),
-        refuted=tuple(refuted),
+        refuted=tuple(v for v in verdicts if not v.main),
         conjectured_match=tuple(rows),
         all_match=all_match,
-        pairs_skipped=skipped,
+        pairs_skipped=sum(v.pairs_skipped for v in verdicts),
     )

@@ -231,10 +231,14 @@ def _natural(digits: str) -> int:
 def parse(text: str) -> Expr:
     """Parse `text` into an expression tree, or raise ParseError.
 
-    A numeral longer than the interpreter converts raises BudgetExceeded.
+    A numeral longer than the interpreter converts, or nesting too deep
+    for the interpreter stack, raises BudgetExceeded.
     """
     parser = _Parser(text)
-    node = parser.sum()
+    try:
+        node = parser.sum()
+    except RecursionError as exc:
+        raise BudgetExceeded(f"parsing failed: {exc}") from exc
     trailing = parser.peek()
     if trailing is not None:
         raise ParseError(f"trailing input {trailing[1]!r}", trailing[2])
@@ -248,10 +252,13 @@ def eval_expr(node: Expr, budget: Optional[EvalBudget] = None) -> Ordinal:
 
     Hyperoperation results are naturals and come back embedded via
     from_natural.  Every value, operands included, is held to max_bits.
-    BudgetExceeded and NotRepresentable propagate.
+    Raises BudgetExceeded, also for a tree past the stack, or NotRepresentable.
     """
     budget = budget or EvalBudget()
-    return _eval(node, budget)
+    try:
+        return _eval(node, budget)
+    except RecursionError as exc:
+        raise BudgetExceeded(f"evaluation failed: {exc}") from exc
 
 
 def _eval(node: Expr, budget: EvalBudget) -> Ordinal:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import weakref
 from typing import Iterable, List, Tuple
 
-from .errors import OrdinalDomainError
+from .errors import BudgetExceeded, OrdinalDomainError
 
 Natural = int
 
@@ -127,12 +127,16 @@ def compare(x: Ordinal, y: Ordinal) -> int:
     missing term counting as smaller: tuple order on `terms`.  It skips
     equal terms in C and recurses into a differing exponent at about four
     interpreter levels per nesting level, so at the default recursion limit
-    it fails from height 250 (300 on 3.12, about 1000 on 3.13); Meter.run
-    and cli.main refuse that RecursionError as a budget fault, exit 3.
+    the stack overflows from height 250 (300 on 3.12, about 1000 on 3.13).
+    compare, and so Ordinal(...), refuse that as BudgetExceeded, as parse,
+    eval_expr, format_ordinal and the evaluators do; < and str() do not.
     """
     if x is y:
         return 0
-    return -1 if x.terms < y.terms else 1
+    try:
+        return -1 if x.terms < y.terms else 1
+    except RecursionError as exc:
+        raise BudgetExceeded(f"comparison failed: {exc}") from exc
 
 
 class _Ref(weakref.ref):

@@ -193,6 +193,11 @@ class TestCmp:
         assert (proc.returncode, proc.stdout) == expected
         assert "Traceback" not in proc.stderr
 
+    def test_towers_past_the_interpreter_stack_exit_as_budget(self, capsys):
+        code, out, err = run(capsys, ["cmp", "S(4,w,2000)", "S(4,w,2001)"])
+        assert (code, out) == (3, "")
+        assert "comparison failed" in err and "Traceback" not in err
+
 
 class TestTable:
     def test_multiplication_grid(self, capsys):
@@ -249,6 +254,13 @@ class TestMains:
         assert (code, out) == (2, "")
         assert "Traceback" not in err
         assert run(capsys, ["mains", "--index", "1", "--bound", "w^3"]) == report
+
+    def test_lattice_past_the_interpreter_stack_exits_as_budget(self, capsys):
+        # Sorting height-400 towers compares past the stack outside compare.
+        code, out, err = run(capsys, ["mains", "--index", "1", "--bound", "1",
+                                      "--depth", "400", "--coeff", "1", "--terms", "1"])
+        assert (code, out) == (3, "")
+        assert err.startswith("budget exceeded:") and "Traceback" not in err
 
 
 class TestBudgetPlumbing:

@@ -237,6 +237,8 @@ class TestReportJson:
         assert doc["op_index"] == 1
         assert doc["bound"] == "w^3"
         assert doc["lattice_spec"] == {"depth": 3, "coeff": 5, "terms": 1}
+        assert list(doc["budget"].items()) == [
+            ("max_depth", 256), ("max_bits", 16384), ("sup_samples", 8)]
         assert doc["confirmed"][0] == "1"
         assert doc["pairs_skipped"] == 0
 
@@ -255,8 +257,16 @@ class TestReportJson:
     def test_every_refutation_reverifies(self):
         report = enumerate_main_numbers(1, pow_(W, nat(4), B), budget=B)
         for ref in report.refuted:
-            assert ref.alpha < ref.candidate and ref.beta < ref.candidate
-            assert synth(1, ref.alpha, ref.beta, B) >= ref.candidate
+            assert ref.witness[0] < ref.candidate and ref.witness[1] < ref.candidate
+            assert synth(1, *ref.witness, B) >= ref.candidate
+
+    def test_refuted_holds_the_verdicts(self):
+        # No pair is refused here, so both routes skip none.
+        report = enumerate_main_numbers(1, pow_(W, nat(4), B), budget=B)
+        assert report.refuted and report.pairs_skipped == 0
+        for verdict in report.refuted:
+            assert isinstance(verdict, MainVerdict)
+            assert verdict == is_main_number(1, verdict.candidate, budget=B)
 
 
 class TestSearch:

@@ -150,6 +150,10 @@ class TestParseErrors:
         with pytest.raises(ValueError):
             parse("w @@ 1")
 
+    def test_nesting_past_the_interpreter_stack_is_refused(self):
+        with pytest.raises(BudgetExceeded, match="parsing failed"):
+            parse("(" * 5000 + "w" + ")" * 5000)
+
 
 class TestEvaluation:
     def test_arithmetic_fixtures(self):
@@ -179,6 +183,11 @@ class TestEvaluation:
             eval_expr(parse("H(4,2,5)"))
         roomy = EvalBudget(max_bits=70000)
         assert eval_expr(parse("H(4,2,5)"), roomy) == from_natural(2**65536)
+
+    def test_tree_past_the_interpreter_stack_is_refused(self):
+        # The parser loops over "+"; the tree it builds is 3000 deep.
+        with pytest.raises(BudgetExceeded, match="evaluation failed"):
+            eval_expr(parse(" + ".join(["w"] * 3000)))
 
     def test_literal_width_is_capped(self):
         narrow = EvalBudget(max_bits=8)

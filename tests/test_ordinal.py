@@ -17,7 +17,7 @@ from support import (
 )
 from transfinite import lub
 from transfinite.arithmetic import add, mul, pow_
-from transfinite.errors import OrdinalDomainError
+from transfinite.errors import BudgetExceeded, OrdinalDomainError
 from transfinite.notation import eval_expr, parse
 from transfinite.synthesis import synth
 from transfinite.ordinal import (
@@ -234,6 +234,12 @@ class TestOrder:
         assert not high < low and low <= low and high >= high
         assert sorted([high, low, high]) == [low, high, high]
         assert max(low, high) is high and max(high, low) is high
+
+    def test_compare_refuses_towers_past_the_interpreter_stack(self):
+        # Height 2000 overflows the stack on every supported interpreter.
+        low, high = (synth(4, OMEGA, from_natural(n)) for n in (2000, 2001))
+        with pytest.raises(BudgetExceeded, match="comparison failed"):
+            compare(low, high)
 
     @given(ordinals())
     def test_hash_consistent_with_eq(self, x):
