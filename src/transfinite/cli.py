@@ -25,7 +25,7 @@ from .errors import BudgetExceeded, NotRepresentable, OrdinalDomainError, ParseE
 from .hyper import hyper, left_hyper, no_left_identity_witness
 from .mains import DEFAULT_LATTICE_SPEC, enumerate_main_numbers, is_main_number
 from .notation import eval_expr, format_ordinal, parse
-from .ordinal import OMEGA, compare, from_natural
+from .ordinal import OMEGA, check_natural, compare, from_natural
 from .synthesis import distributes, synth
 
 EXIT_OK = 0
@@ -116,8 +116,7 @@ def main(argv: Optional[list] = None) -> int:
     except OrdinalDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (BudgetExceeded, RecursionError) as exc:
-        # RecursionError: `<` outside compare, as when mains sorts a deep lattice.
+    except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except NotRepresentable as exc:
@@ -142,6 +141,8 @@ def _cmd_cmp(args, budget: EvalBudget) -> int:
 
 
 def _cmd_table(args, budget: EvalBudget) -> int:
+    check_natural(args.rows, "--rows")
+    check_natural(args.cols, "--cols")
     def cell(a: int, b: int) -> str:
         try:
             if args.op == "S":

@@ -291,17 +291,15 @@ def _eval(node: Expr, budget: EvalBudget) -> Ordinal:
 def format_ordinal(x: Ordinal, style: str = "text") -> str:
     """Render an ordinal as canonical text or as a JSON document.
 
-    A coefficient longer than the interpreter converts, or a tower too
-    tall for the interpreter stack, raises BudgetExceeded.
+    A coefficient longer than the interpreter converts raises BudgetExceeded.
     """
     try:
         if style == "text":
             return str(x)
         if style == "json":
             return json.dumps(_json_obj(x))
-    except (ValueError, RecursionError) as exc:
-        # int-to-str refuses past the interpreter's limit (the command line
-        # lifts it to match max_bits); a tall tower overflows the stack.
+    except ValueError as exc:
+        # int-to-str refuses past the interpreter's limit; the CLI lifts it.
         raise BudgetExceeded(f"rendering failed: {exc}") from exc
     raise ValueError(f"unknown style {style!r}")
 

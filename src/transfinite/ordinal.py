@@ -9,7 +9,8 @@ Values are immutable and interned (hash-consed): every value is built by
 `_ord`, which returns the one live object for its term tuple, so equal
 ordinals are the same object, `==` is `is`, and values hash by identity.
 The CNF height and the widest coefficient's bit length are set once, when a
-value is first built.  `terms` is a plain slot, read-only by convention.
+value is first built; a value taller than MAX_HEIGHT is refused with
+BudgetExceeded.  `terms` is a plain slot, read-only by convention.
 Naturals are plain Python ints (arbitrary precision).
 """
 
@@ -45,6 +46,9 @@ class Ordinal:
         # protocol would call Ordinal() and overwrite the slots of ZERO.
         return _ord, (self.terms,)
 
+    def __deepcopy__(self, memo):
+        return self  # immutable and interned; __reduce__ would walk every level
+
     # -- structure ---------------------------------------------------------
 
     @property
@@ -54,9 +58,7 @@ class Ordinal:
     @property
     def is_natural(self) -> bool:
         """True for 0 and for single-term w^0*c, i.e. the finite ordinals."""
-        if not self.terms:
-            return True
-        return len(self.terms) == 1 and self.terms[0][0] is ZERO
+        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] is ZERO)
 
     def natural_value(self) -> Natural:
         if not self.terms:
@@ -124,19 +126,10 @@ def compare(x: Ordinal, y: Ordinal) -> int:
     """Three-way comparison: -1, 0, or 1.
 
     CNF order is lexicographic on (exponent, coefficient) term lists, a
-    missing term counting as smaller: tuple order on `terms`.  It skips
-    equal terms in C and recurses into a differing exponent at about four
-    interpreter levels per nesting level, so at the default recursion limit
-    the stack overflows from height 250 (300 on 3.12, about 1000 on 3.13).
-    compare, and so Ordinal(...), refuse that as BudgetExceeded, as parse,
-    eval_expr, format_ordinal and the evaluators do; < and str() do not.
+    missing term counting as smaller: tuple order on `terms`, which skips
+    equal terms in C and recurses only into a differing exponent.
     """
-    if x is y:
-        return 0
-    try:
-        return -1 if x.terms < y.terms else 1
-    except RecursionError as exc:
-        raise BudgetExceeded(f"comparison failed: {exc}") from exc
+    return 0 if x is y else -1 if x.terms < y.terms else 1
 
 
 class _Ref(weakref.ref):
@@ -145,6 +138,10 @@ class _Ref(weakref.ref):
 
 # Term tuple -> weak reference to the one live Ordinal with those terms.
 _TABLE = {}
+
+# The tallest normal form _ord builds: every walk of a value's nesting (order,
+# str, JSON, pickle, lub) fits the default stack, 190 frames to spare on 3.11.
+MAX_HEIGHT = 200
 
 
 def _drop(ref: _Ref) -> None:
@@ -159,10 +156,14 @@ def _ord(terms) -> Ordinal:
     ref = _TABLE.get(terms)
     o = ref() if ref is not None else None
     if o is None:
+        # Height grows with value, so the leading exponent is the tallest.
+        height = 1 + terms[0][0]._height if terms else 0
+        if height > MAX_HEIGHT:
+            raise BudgetExceeded(
+                f"a height-{height} normal form exceeds the {MAX_HEIGHT}-level cap")
         o = object.__new__(Ordinal)
         o.terms = terms
-        # Height grows with value, so the leading exponent is the tallest.
-        o._height = 1 + terms[0][0]._height if terms else 0
+        o._height = height
         bits = 0
         for e, c in terms:
             b = c.bit_length()
@@ -278,6 +279,6 @@ def cnf_height(x: Ordinal) -> Natural:
 
     Every ordinal below w^w has height <= 2, below w^w^w height <= 3, and
     so on; unbounded height along an increasing sequence forces the
-    supremum up to epsilon_0.
+    supremum up to epsilon_0.  No value is taller than MAX_HEIGHT.
     """
     return x._height

@@ -196,7 +196,7 @@ class TestCmp:
     def test_towers_past_the_interpreter_stack_exit_as_budget(self, capsys):
         code, out, err = run(capsys, ["cmp", "S(4,w,2000)", "S(4,w,2001)"])
         assert (code, out) == (3, "")
-        assert "comparison failed" in err and "Traceback" not in err
+        assert "exceeds the 200-level cap" in err and "Traceback" not in err
 
 
 class TestTable:
@@ -353,6 +353,10 @@ class TestParserReuse:
         pytest.param(["eval", "1 +"], 2, id="exit-2"),
         pytest.param(["eval", "H(3,3,20000)"], 3, id="exit-3"),
         pytest.param(["eval", "S(4,w,w)"], 4, id="exit-4"),
+        pytest.param(["eval", "S(4,w,199)"], 0, id="tallest-tower"),
+        pytest.param(["eval", "S(4,w,200)"], 3, id="tower-past-the-cap"),
+        pytest.param(["table", "--op", "H", "--index", "2", "--rows", "-1", "--cols", "-3"], 2,
+                     id="negative-table-size"),
         pytest.param(["bogus"], USAGE, id="unknown-command"),
         pytest.param(["eval"], USAGE, id="missing-expression"),
         pytest.param(["table", "--op", "X", "--index", "2", "--rows", "1", "--cols", "1"],

@@ -2,6 +2,7 @@
 import copy
 import functools
 import gc
+import json
 import pickle
 import random
 import weakref
@@ -18,9 +19,11 @@ from support import (
 from transfinite import lub
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.errors import BudgetExceeded, OrdinalDomainError
-from transfinite.notation import eval_expr, parse
+from transfinite.mains import candidate_lattice
+from transfinite.notation import eval_expr, format_ordinal, parse
 from transfinite.synthesis import synth
 from transfinite.ordinal import (
+    MAX_HEIGHT,
     OMEGA,
     ONE,
     ZERO,
@@ -224,27 +227,47 @@ class TestOrder:
     def test_towers_of_height_200(self):
         # Tuple order recurses about four interpreter levels per nesting
         # level; two towers that differ only at the top take the deepest
-        # path, and 200 stays clear of the default recursion limit.
-        low, high = nat(2), nat(3)
-        for _ in range(199):
-            low, high = omega_power(low), omega_power(high)
-        assert cnf_height(low) == cnf_height(high) == 200
+        # path.  At the height cap every walk of a value fits the stack.
+        low, high = _tower(nat(2), 199), _tower(nat(3), 199)
+        assert cnf_height(low) == cnf_height(high) == MAX_HEIGHT == 200
         assert compare(low, high) == -1 and compare(high, low) == 1
         assert low < high and low <= high and high > low and high >= low
         assert not high < low and low <= low and high >= high
         assert sorted([high, low, high]) == [low, high, high]
         assert max(low, high) is high and max(high, low) is high
+        text = str(high)
+        assert text.startswith("w^(" * 198 + "w^3") and format_ordinal(high) == text
+        assert json.loads(format_ordinal(high, "json"))["terms"][0]["coeff"] == "1"
+        assert pickle.loads(pickle.dumps(high)) is high and copy.deepcopy(high) is high
+        members = fundamental_prefix(_tower(W, 198), 3)
+        assert members == [_tower(nat(k), 198) for k in range(3)]
+        # Exponents recurse to [1, 2, 3], whose lub w rises back to height 200.
+        value, rule = lub.classify_lub([_tower(nat(k), 198) for k in (1, 2, 3)])
+        assert (value, rule) == (_tower(W, 198), lub.LubInference.EXPONENT_GROWTH)
 
-    def test_compare_refuses_towers_past_the_interpreter_stack(self):
-        # Height 2000 overflows the stack on every supported interpreter.
-        low, high = (synth(4, OMEGA, from_natural(n)) for n in (2000, 2001))
-        with pytest.raises(BudgetExceeded, match="comparison failed"):
-            compare(low, high)
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda top: Ordinal(((top, 1),)), id="Ordinal"),
+        pytest.param(omega_power, id="omega_power"),
+        pytest.param(lambda top: pow_(W, top), id="pow_"),
+        pytest.param(lambda top: synth(4, W, nat(200)), id="synth"),
+        pytest.param(lambda top: candidate_lattice(400, 1, 1), id="candidate_lattice"),
+    ])
+    def test_height_past_the_cap_is_refused(self, build):
+        top = _tower(nat(2), 199)
+        with pytest.raises(BudgetExceeded,
+                           match="^a height-201 normal form exceeds the 200-level cap$"):
+            build(top)
 
     @given(ordinals())
     def test_hash_consistent_with_eq(self, x):
         y = Ordinal(x.terms)
         assert x == y and hash(x) == hash(y)
+
+
+def _tower(base, n):
+    for _ in range(n):
+        base = omega_power(base)
+    return base
 
 
 def _assert_order_agrees(x, y):
