@@ -127,96 +127,10 @@ def _tokenize(text: str) -> List[Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> Optional[Token]:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {kind!r}, got end of input", len(self.text))
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, got {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def accept(self, kind: str) -> bool:
-        if self.peek() is None or self.peek()[0] != kind:
-            return False
-        self.pos += 1
-        return True
-
-    # sum := prod ("+" prod)*
-    def sum(self) -> Expr:
-        node = self.prod()
-        while self.accept("+"):
-            node = Add(node, self.prod())
-        return node
-
-    # prod := pw ("*" pw)*
-    def prod(self) -> Expr:
-        node = self.pw()
-        while self.accept("*"):
-            node = Mul(node, self.pw())
-        return node
-
-    # pw := atom ("^" pw)?   -- right-associative
-    def pw(self) -> Expr:
-        node = self.atom()
-        if self.accept("^"):
-            node = Pow(node, self.pw())
-        return node
-
-    def atom(self) -> Expr:
-        tok = self.next()
-        kind, text, at = tok
-        if kind == "nat":
-            return NatLit(_natural(text))
-        if kind == "(":
-            node = self.sum()
-            self.expect(")")
-            return node
-        if kind == "name":
-            if text == "w":
-                return Omega()
-            if text in _FUNCS:
-                return self.func(*_FUNCS[text])
-            raise ParseError(f"unknown name {text!r}", at)
-        raise ParseError(f"unexpected token {text!r}", at)
-
-    def func(self, cls, operand) -> Expr:
-        self.expect("(")
-        tok = self.expect("nat")
-        index = _natural(tok[1])
-        if index < 1:
-            raise ParseError("operation index must be at least 1", tok[2])
-        self.expect(",")
-        left = operand(self)
-        self.expect(",")
-        right = operand(self)
-        self.expect(")")
-        return cls(index, left, right)
-
-    def nat(self) -> int:
-        return _natural(self.expect("nat")[1])
-
-
-_FUNCS = {"H": (Hyper, _Parser.nat), "L": (LeftHyper, _Parser.nat),
-          "S": (Synth, _Parser.sum), "N": (NaiveExt, _Parser.sum)}
+_FUNCS = {"H": Hyper, "L": LeftHyper, "S": Synth, "N": NaiveExt}
+_BINARY = {"+": Add, "*": Mul, "^": Pow}
+# The open operators each symbol applies first: "^" groups to the right.
+_FIRST = {"+": ("+", "*", "^"), "*": ("*", "^"), "^": ()}
 
 
 def _natural(digits: str) -> int:
@@ -231,59 +145,133 @@ def _natural(digits: str) -> int:
 def parse(text: str) -> Expr:
     """Parse `text` into an expression tree, or raise ParseError.
 
-    A numeral longer than the interpreter converts, or nesting too deep
-    for the interpreter stack, raises BudgetExceeded.
+    One loop over the tokens with its own lists, so input of any nesting
+    parses.  A numeral longer than the interpreter converts raises
+    BudgetExceeded.
     """
-    parser = _Parser(text)
-    try:
-        node = parser.sum()
-    except RecursionError as exc:
-        raise BudgetExceeded(f"parsing failed: {exc}") from exc
-    trailing = parser.peek()
-    if trailing is not None:
-        raise ParseError(f"trailing input {trailing[1]!r}", trailing[2])
-    return node
+    tokens = _tokenize(text)
+    tokens.append(("end", "end of input", len(text)))
+    pos = 0
+
+    def expect(kind: str) -> str:
+        nonlocal pos
+        got, word, at = tokens[pos]
+        if got != kind:
+            raise ParseError(f"expected {kind!r}, got "
+                             + (word if got == "end" else repr(word)), at)
+        pos += 1
+        return word
+
+    # Open "+", "*", "^", "(" and (class, index, left) markers of S and N
+    # forms, whose left is None until its "," is read.
+    ops = []
+    operands = []
+    while True:
+        kind, word, at = tokens[pos]
+        pos += 1
+        if kind == "nat":
+            operands.append(NatLit(_natural(word)))
+        elif kind == "(":
+            ops.append("(")
+            continue
+        elif kind != "name":
+            raise ParseError("unexpected end of input" if kind == "end"
+                             else f"unexpected token {word!r}", at)
+        elif word == "w":
+            operands.append(Omega())
+        elif word in _FUNCS:
+            cls = _FUNCS[word]
+            expect("(")
+            at = tokens[pos][2]
+            index = _natural(expect("nat"))
+            if index < 1:
+                raise ParseError("operation index must be at least 1", at)
+            expect(",")
+            if cls is Synth or cls is NaiveExt:
+                ops.append((cls, index, None))
+                continue
+            base = _natural(expect("nat"))
+            expect(",")
+            operands.append(cls(index, base, _natural(expect("nat"))))
+            expect(")")
+        else:
+            raise ParseError(f"unknown name {word!r}", at)
+        # After an operand: apply what binds tighter than the next symbol,
+        # then open it, or close the innermost "(" or S/N form.
+        while True:
+            kind, word, at = tokens[pos]
+            first = _FIRST.get(kind, _FIRST["+"])
+            while ops and ops[-1] in first:
+                right = operands.pop()
+                operands[-1] = _BINARY[ops.pop()](operands[-1], right)
+            if kind in _FIRST:
+                ops.append(kind)
+                pos += 1
+                break
+            if not ops:
+                if kind == "end":
+                    return operands[0]
+                raise ParseError(f"trailing input {word!r}", at)
+            top = ops.pop()
+            if top == "(":
+                expect(")")
+            elif top[2] is None:
+                expect(",")
+                ops.append((top[0], top[1], operands.pop()))
+                break
+            else:
+                expect(")")
+                right = operands.pop()
+                operands.append(top[0](top[1], top[2], right))
 
 
 # --- evaluation -----------------------------------------------------------
 
+# The two operands of every inner node are its last two fields.
+_APPLY = {
+    Add: lambda node, x, y, budget: add(x, y),
+    Mul: lambda node, x, y, budget: mul(x, y),
+    Pow: lambda node, x, y, budget: pow_(x, y, budget),
+    Synth: lambda node, x, y, budget: synth(node.index, x, y, budget),
+    NaiveExt: lambda node, x, y, budget: naive_ext(node.index, x, y, budget),
+}
+_APPLY_NEXT = object()  # on the work list above the inner node it applies
+
+
 def eval_expr(node: Expr, budget: Optional[EvalBudget] = None) -> Ordinal:
     """Evaluate an expression tree to an ordinal.
 
-    Hyperoperation results are naturals and come back embedded via
-    from_natural.  Every value, operands included, is held to max_bits.
-    Raises BudgetExceeded, also for a tree past the stack, or NotRepresentable.
+    The tree is walked from a list, left operand first, so a tree of any
+    depth evaluates.  Hyperoperation results are naturals and come back
+    embedded via from_natural.  Every value, operands included, is held to
+    max_bits.  Raises BudgetExceeded or NotRepresentable.
     """
     budget = budget or EvalBudget()
-    try:
-        return _eval(node, budget)
-    except RecursionError as exc:
-        raise BudgetExceeded(f"evaluation failed: {exc}") from exc
-
-
-def _eval(node: Expr, budget: EvalBudget) -> Ordinal:
-    if isinstance(node, NatLit):
-        value = from_natural(node.value)
-    elif isinstance(node, Omega):
-        value = OMEGA
-    elif isinstance(node, Add):
-        value = add(_eval(node.left, budget), _eval(node.right, budget))
-    elif isinstance(node, Mul):
-        value = mul(_eval(node.left, budget), _eval(node.right, budget))
-    elif isinstance(node, Pow):
-        value = pow_(_eval(node.base, budget), _eval(node.exponent, budget), budget)
-    elif isinstance(node, Hyper):
-        value = from_natural(hyper(node.index, node.base, node.arg, budget))
-    elif isinstance(node, LeftHyper):
-        value = from_natural(left_hyper(node.index, node.base, node.arg, budget))
-    elif isinstance(node, Synth):
-        value = synth(node.index, _eval(node.left, budget), _eval(node.right, budget), budget)
-    elif isinstance(node, NaiveExt):
-        value = naive_ext(node.index, _eval(node.left, budget), _eval(node.right, budget), budget)
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    budget.check_bits(value._bits)
-    return value
+    todo = [node]
+    values = []
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is NatLit:
+            value = from_natural(node.value)
+        elif kind is Omega:
+            value = OMEGA
+        elif kind is Hyper:
+            value = from_natural(hyper(*node, budget))
+        elif kind is LeftHyper:
+            value = from_natural(left_hyper(*node, budget))
+        elif node is _APPLY_NEXT:
+            node = todo.pop()
+            right = values.pop()
+            value = _APPLY[type(node)](node, values.pop(), right, budget)
+        elif kind in _APPLY:
+            todo += (node, _APPLY_NEXT, node[-1], node[-2])
+            continue
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        budget.check_bits(value._bits)
+        values.append(value)
+    return values[0]
 
 
 # --- formatting -----------------------------------------------------------

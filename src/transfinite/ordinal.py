@@ -95,7 +95,7 @@ class Ordinal:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        # Canonical text form, round-trippable through notation.parse_ordinal:
+        # Canonical text form; notation's eval_expr(parse(text)) reads it back:
         # terms joined by " + ", each "w^E*C" with the shorthands
         # w^0*C -> "C", w^1*C -> "w*C", and "*1" dropped.  A composite
         # exponent (anything other than a natural or w itself) gets

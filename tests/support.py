@@ -9,6 +9,9 @@ from typing import List, Tuple
 from transfinite.arithmetic import add, mul
 from transfinite.errors import BudgetExceeded, NoPatternError, NotRepresentable
 from transfinite.lub import LubInference
+from transfinite.notation import (
+    Add, Expr, Hyper, LeftHyper, Mul, NaiveExt, NatLit, Omega, Pow, Synth,
+)
 from transfinite.ordinal import (
     OMEGA, ONE, ZERO, Ordinal, _ord, cnf_height, compare, from_natural,
     fundamental_prefix, omega_power, successor,
@@ -235,3 +238,32 @@ def _tower_preview(samples) -> bool:
 def tree_corpus(count: int = 10000, depth: int = 3, seed: int = 4242) -> List[Ordinal]:
     rng = random.Random(seed)
     return [rand_tree(rng, depth) for _ in range(count)]
+
+
+# Binding strength of each infix node; every other node is an atom.
+_INFIX = {Add: (1, "+"), Mul: (2, "*"), Pow: (3, "^")}
+_CALLS = {Hyper: "H", LeftHyper: "L", Synth: "S", NaiveExt: "N"}
+
+
+def render_expr(node: Expr, minimal: bool = False) -> str:
+    """Text that parses back to `node`: every infix node in parentheses,
+    or with `minimal` only the parentheses that precedence needs."""
+    if isinstance(node, NatLit):
+        return str(node.value)
+    if isinstance(node, Omega):
+        return "w"
+    if type(node) not in _INFIX:
+        fields = [render_expr(f, minimal) if isinstance(f, tuple) else str(f) for f in node]
+        return "{}({})".format(_CALLS[type(node)], ",".join(fields))
+    binds, symbol = _INFIX[type(node)]
+    # "+" and "*" group to the left and "^" to the right: only the operand
+    # on the grouping side may bind as loosely as the node itself.
+    floors = (binds + 1, binds) if type(node) is Pow else (binds, binds + 1)
+    parts = []
+    for operand, floor in zip(node, floors):
+        text = render_expr(operand, minimal)
+        if minimal and _INFIX.get(type(operand), (floor,))[0] < floor:
+            text = f"({text})"
+        parts.append(text)
+    text = symbol.join(parts)
+    return text if minimal else f"({text})"

@@ -64,15 +64,13 @@ class TestEval:
 
 class TestExitContract:
     # Each input ended in a traceback and exit 1, or was accepted past the
-    # bit cap, before literal widths and interpreter stack depth were
-    # refused as budget faults.  The representable w * w^w^w^w exited 4
-    # while a sample run cut short by the budget was read as a tower.
+    # bit cap, before literal widths and value heights were refused as
+    # budget faults.  The representable w * w^w^w^w exited 4 while a
+    # sample run cut short by the budget was read as a tower.
     @pytest.mark.parametrize("expr", [
         pytest.param("9" * 5000, id="5000-digit-literal"),
         pytest.param("9" * 20000, id="20000-digit-literal"),
-        pytest.param("(" * 5000 + "w" + ")" * 5000, id="5000-parentheses"),
         pytest.param("w^" * 3000 + "1", id="3000-chained-powers"),
-        pytest.param(" + ".join(["w^w^w^w"] * 2000), id="2000-summed-towers"),
         pytest.param("S(2,w,w^w^w^w)", id="truncated-sample-run"),
     ])
     def test_refused_as_budget(self, capsys, expr):
@@ -80,6 +78,15 @@ class TestExitContract:
         assert (code, out) == (3, "")
         assert err.startswith("budget exceeded: ")
         assert "Traceback" not in err
+
+    # Deeper than the interpreter stack: the parser and the evaluator keep
+    # their own lists, so only a value past the height cap is refused.
+    @pytest.mark.parametrize("expr, value", [
+        pytest.param("(" * 5000 + "w" + ")" * 5000, "w", id="5000-parentheses"),
+        pytest.param(" + ".join(["w^w^w^w"] * 2000), "w^(w^(w^w))*2000", id="2000-summed-towers"),
+    ])
+    def test_answered_past_the_interpreter_stack(self, capsys, expr, value):
+        assert run(capsys, ["eval", expr]) == (0, value + "\n", "")
 
     def test_non_ascii_digit_is_a_parse_error(self, capsys):
         # "²".isdigit() holds but int() rejects it.
@@ -127,10 +134,15 @@ def _expressions():
 
 
 OPERANDS = st.one_of(_expressions(), st.text("w0123()+*^,SHNL ", max_size=20))
-# One opener nested 150-600 deep around a leaf: from below the parser's
-# limit (about 197 nested "w^(" in a fresh interpreter) to far past it.
-DEEP = st.builds(lambda opener, depth, leaf: opener * depth + leaf + ")" * depth,
-                 st.sampled_from(["(", "w^(", "S(1,w,"]), st.integers(150, 600), LEAVES)
+# One opener nested 150-600 deep around a leaf, from below the height cap
+# (199 nested "w^(" around a leaf) to far past it, or a flat sum or product
+# of 1-3000 equal leaves.
+DEEP = st.one_of(
+    st.builds(lambda opener, depth, leaf: opener * depth + leaf + ")" * depth,
+              st.sampled_from(["(", "w^(", "S(1,w,"]), st.integers(150, 600), LEAVES),
+    st.builds(lambda symbol, count, leaf: symbol.join([leaf] * count),
+              st.sampled_from([" + ", "*"]), st.integers(1, 3000), LEAVES),
+)
 # Literal hyperoperation calls: deep levels, cycling bases, huge counts.
 HYPER_CALLS = st.builds("{}({},{},{})".format, st.sampled_from("HL"), st.integers(0, 300),
                         st.integers(0, 5), st.one_of(st.integers(0, 6), st.just(10**9)))
@@ -172,26 +184,19 @@ class TestCmp:
         assert run(capsys, ["cmp", "w", "w+1"])[1] == "<\n"
         assert run(capsys, ["cmp", "w*2", "w"])[1] == ">\n"
 
-    # The deepest "w^(" nesting the parser takes in a fresh interpreter.
-    PARSER_LIMIT = 197 if sys.version_info < (3, 12) else 198
-
     @pytest.mark.parametrize("extra, expected", [(0, (0, "<\n")), (1, (3, ""))])
-    def test_nesting_at_the_parser_limit(self, extra, expected):
+    def test_nesting_at_the_parser_limit(self, capsys, extra, expected):
         # Two towers that differ only at the top, so the comparison takes
-        # the deepest path: at the parser's limit they compare, one level
-        # deeper the stack overflows and the command exits as a budget
-        # fault.  A fresh interpreter, as the console script starts, since
-        # the limit counts the frames below main().
-        levels = self.PARSER_LIMIT + extra
+        # the deepest path.  The parser takes any nesting, so the limit is
+        # the height cap: 199 levels of "w^(" around a natural build a
+        # height-200 value, and one level more is refused as a budget fault
+        # on every Python version.
+        levels = 199 + extra
         left, right = ("w^(" * levels + top + ")" * levels for top in "23")
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from transfinite.cli import main; sys.exit(main())",
-             "cmp", left, right],
-            capture_output=True, text=True,
-        )
-        assert (proc.returncode, proc.stdout) == expected
-        assert "Traceback" not in proc.stderr
+        code, out, err = run(capsys, ["cmp", left, right])
+        assert (code, out) == expected
+        assert ("exceeds the 200-level cap" in err) == bool(extra)
+        assert "Traceback" not in err
 
     def test_towers_past_the_interpreter_stack_exit_as_budget(self, capsys):
         code, out, err = run(capsys, ["cmp", "S(4,w,2000)", "S(4,w,2001)"])

@@ -5,8 +5,8 @@ import sys
 import pytest
 from hypothesis import given
 
-from conftest import ordinals
-from support import W, nat
+from conftest import expr_trees, ordinals
+from support import W, nat, render_expr
 
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget
@@ -150,9 +150,13 @@ class TestParseErrors:
         with pytest.raises(ValueError):
             parse("w @@ 1")
 
-    def test_nesting_past_the_interpreter_stack_is_refused(self):
-        with pytest.raises(BudgetExceeded, match="parsing failed"):
-            parse("(" * 5000 + "w" + ")" * 5000)
+    def test_nesting_past_the_interpreter_stack_parses(self):
+        # The parser keeps its own lists, so only the input's own faults
+        # stop it, however deep it nests.
+        assert parse("(" * 5000 + "w" + ")" * 5000) == Omega()
+        with pytest.raises(ParseError, match=r"^expected '\)', got end of input") as info:
+            parse("(" * 5000 + "w")
+        assert info.value.position == 5001
 
 
 class TestEvaluation:
@@ -184,10 +188,20 @@ class TestEvaluation:
         roomy = EvalBudget(max_bits=70000)
         assert eval_expr(parse("H(4,2,5)"), roomy) == from_natural(2**65536)
 
-    def test_tree_past_the_interpreter_stack_is_refused(self):
-        # The parser loops over "+"; the tree it builds is 3000 deep.
-        with pytest.raises(BudgetExceeded, match="evaluation failed"):
-            eval_expr(parse(" + ".join(["w"] * 3000)))
+    def test_tree_past_the_interpreter_stack_evaluates(self):
+        # The tree of the sum is 3000 deep.  == and repr of such a tree
+        # still recurse, so the values are compared, not the trees.
+        assert eval_expr(parse(" + ".join(["w"] * 3000))) == mul(W, nat(3000))
+
+    @pytest.mark.parametrize("form", ["{} + {}", "{}^{}", "S(2,{},{})"],
+                             ids=["sum", "power", "S-form"])
+    def test_operands_evaluate_left_to_right(self, form):
+        # H(4,2,5) is past the bit cap and S(4,w,w) is not representable:
+        # whichever operand comes first decides the error.
+        with pytest.raises(BudgetExceeded):
+            eval_expr(parse(form.format("H(4,2,5)", "S(4,w,w)")))
+        with pytest.raises(NotRepresentable):
+            eval_expr(parse(form.format("S(4,w,w)", "H(4,2,5)")))
 
     def test_literal_width_is_capped(self):
         narrow = EvalBudget(max_bits=8)
@@ -262,6 +276,11 @@ class TestFormatting:
 
 
 class TestRoundTrip:
+    @given(expr_trees())
+    def test_rendered_trees_parse_back(self, node):
+        assert parse(render_expr(node)) == node
+        assert parse(render_expr(node, minimal=True)) == node
+
     @given(ordinals())
     def test_text_round_trips_through_parser(self, x):
         assert eval_expr(parse(format_ordinal(x))) == x
