@@ -13,8 +13,8 @@ is found by bisecting alpha at the largest beta below delta, then beta
 at that alpha (beta is scanned when alpha <= 1, where the ladder is not
 monotone in beta).  A candidate whose search meets a refusal of the
 budget is settled again from the start by that scan, which skips the
-refused pairs; a verdict's pairs_skipped counts the refusals of the
-route that decided it, so it is 0 whenever the search decides.
+refused pairs; a verdict's pairs_skipped counts the distinct pairs the
+scan left unsettled, so it is 0 whenever the search decides.
 
 The reports pair the confirmed infinite mains, in order, against the
 ladder values synth(i+1, w, w^rank), rank = 0, 1, 2, ...  Ranks are
@@ -102,7 +102,7 @@ class MainVerdict(NamedTuple):
     main: bool                              # True = main-on-sample only
     witness: Optional[Tuple[Ordinal, Ordinal]]
     value: Optional[Ordinal]                # None with a witness: >= epsilon_0
-    pairs_skipped: int                      # pairs the budget refused to settle
+    pairs_skipped: int                      # distinct pairs the scan left unsettled
 
 
 class ConjectureRow(NamedTuple):
@@ -199,28 +199,37 @@ def _scan(
     budget: Optional[EvalBudget],
     memo: Memo,
 ) -> MainVerdict:
-    """Every alpha in order, then beta in order; refusals are counted."""
-    skipped = 0
+    """Every alpha in order, then beta in order.
+
+    pairs_skipped counts the distinct pairs the budget refused and no
+    later attempt in this scan settled.
+    """
+    refused = set()
+
+    def escape(alpha: Ordinal, beta: Ordinal) -> Optional[Tuple[bool, Optional[Ordinal]]]:
+        # _escape's answer, or None when the budget refuses the pair.
+        try:
+            result = _escape(i, delta, alpha, beta, budget, memo)
+        except BudgetExceeded:
+            refused.add((alpha, beta))
+            return None
+        refused.discard((alpha, beta))
+        return result
+
     for alpha in below:
         # Probe at the largest beta first and scan beta only if that
-        # escapes.  Values grow weakly in beta for alpha >= 2, and for
-        # alpha <= 1 at levels 1 and 2.  For alpha <= 1 from level 3 on
-        # every value is <= 1, which reaches delta only at delta = 1,
+        # escapes or is refused.  Values grow weakly in beta for alpha >= 2,
+        # and for alpha <= 1 at levels 1 and 2.  For alpha <= 1 from level 3
+        # on every value is <= 1, which reaches delta only at delta = 1,
         # where 0 is the only beta.
-        try:
-            if not _escape(i, delta, alpha, below[-1], budget, memo)[0]:
-                continue
-        except BudgetExceeded:
-            skipped += 1  # probe unsettled: fall back to the full scan
+        probe = escape(alpha, below[-1])
+        if probe is not None and not probe[0]:
+            continue
         for beta in below:
-            try:
-                escaped, value = _escape(i, delta, alpha, beta, budget, memo)
-            except BudgetExceeded:
-                skipped += 1
-                continue
-            if escaped:
-                return MainVerdict(delta, False, (alpha, beta), value, skipped)
-    return MainVerdict(delta, True, None, None, skipped)
+            result = escape(alpha, beta)
+            if result is not None and result[0]:
+                return MainVerdict(delta, False, (alpha, beta), result[1], len(refused))
+    return MainVerdict(delta, True, None, None, len(refused))
 
 
 class MainNumberReport(NamedTuple):

@@ -423,4 +423,4 @@ def test_mains_report_bytes_at_16_samples():
     # is shared with criterion 12 through _mains_text's cache.
     text = _mains_text(2, "w^(w^3)", 16, 1)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "504eb6d962a460971832d8ef5a909179ab3b63fa5e889fa198932fff394d65f2")
+        "5fd96766ce80b691678102693faf38ca58a3b7815574a34a8bfdc862f087d5bd")

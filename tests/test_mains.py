@@ -307,7 +307,7 @@ class TestSearch:
         monkeypatch.setattr(mains, "synth", refusing)
         verdict = mains._classify(1, delta, entries, B, {})
         assert verdict == mains._scan(1, delta, below, B, {})
-        assert verdict.main and verdict.pairs_skipped == 2
+        assert verdict.main and verdict.pairs_skipped == 1
 
 
 class TestReportBytes:
@@ -316,13 +316,13 @@ class TestReportBytes:
          "e4ba830971c11696958a843b11781ecc53fbf9648d700ce135e391215cd285fe"),
         (1, pow_(W, nat(5), B),
          "2fcf78fca328a7a37b5ad222833ede153ebf14b95c34b19adb83394927ce8546"),
-        # Reports the scan fallback decides: pairs_skipped 205, 92 and 529.
+        # Reports the scan fallback decides: pairs_skipped 189, 78 and 505.
         (4, pow_(W, W, B),
-         "8c5e844f2685d2d78a08983c575e09d17be590c9e7c5eed40b3dabb46c7bdec4"),
+         "7569246563d1464f819f77e43918022a38e11613a32c90c8bfe539f24af50f6f"),
         (5, pow_(W, nat(3), B),
-         "065752088354e066c36c3b74c5e7e858d3e71c4a513f952f16f1af29b4377875"),
+         "90aa65ed13f00c9af56310ebeff28fdcb15a458247a2c5371e5f4a1108d374ec"),
         (4, pow_(W, pow_(W, nat(2), B), B),
-         "675ac91a5210f1b6bc6eb22485f145ebb3f884add9622e8ba2e554addfb5c95a"),
+         "1ffb4d444e9a5a70a8fd348f32137ea1e57657f7473bec8ed23cf1a36c183261"),
     ])
     def test_report_sha256(self, i, bound, sha):
         text = json.dumps(enumerate_main_numbers(i, bound).json_dict(), indent=2) + "\n"
