@@ -11,7 +11,9 @@ in both arguments, so the least escaping pair in (alpha, beta) order --
 the first pair a scan of every alpha, then every beta, would return --
 is found by bisecting alpha at the largest beta below delta, then beta
 at that alpha (beta is scanned when alpha <= 1, where the ladder is not
-monotone in beta).  A candidate whose search meets a refusal of the
+monotone in beta).  In a report, each alpha search starts at the
+witness alpha of the last refutation, since neighbouring candidates
+often share it.  A candidate whose search meets a refusal of the
 budget is settled again from the start by that scan, which skips the
 refused pairs; a verdict's pairs_skipped counts the distinct pairs the
 scan left unsettled, so it is 0 whenever the search decides.
@@ -133,10 +135,11 @@ def _classify(
     entries: Sequence[Ordinal],
     budget: Optional[EvalBudget],
     memo: Memo,
+    hint: Optional[Ordinal] = None,
 ) -> MainVerdict:
     below = entries[: bisect_left(entries, delta)]
     try:
-        return _search(i, delta, below, budget, memo)
+        return _search(i, delta, below, budget, memo, hint)
     except BudgetExceeded:
         return _scan(i, delta, below, budget, memo)
 
@@ -164,6 +167,7 @@ def _search(
     below: Sequence[Ordinal],
     budget: Optional[EvalBudget],
     memo: Memo,
+    hint: Optional[Ordinal] = None,
 ) -> MainVerdict:
     """The least escaping pair in (alpha, beta) order, found by bisection.
 
@@ -171,6 +175,10 @@ def _search(
     monotone in alpha, and at alpha >= 2 escaping is monotone in beta.
     For alpha <= 1 beta is scanned: 0^beta is not monotone at level 3
     and S(n, 0, beta) alternates from level 4.  A refusal propagates.
+
+    hint, an alpha in below, starts the alpha search: if it escapes at
+    beta_max and the alpha before it does not, it is the answer, and
+    otherwise only the side of it that holds the first escape is bisected.
     """
     values = {}
 
@@ -178,8 +186,21 @@ def _search(
         escaped, values[alpha, beta] = _escape(i, delta, alpha, beta, budget, memo)
         return escaped
 
-    # bisect_left over the keys False... True finds the first escape.
-    a = bisect_left(below, True, key=lambda x: escapes(x, below[-1]))
+    def at_max(x: Ordinal) -> bool:
+        return escapes(x, below[-1])
+
+    # bisect_left over the keys False... True finds the first escape in
+    # [lo, hi), which a hint narrows to one side of itself.
+    lo, hi = 0, len(below)
+    if hint is not None:
+        h = bisect_left(below, hint)
+        if not at_max(hint):
+            lo = h + 1
+        elif h == 0 or not at_max(below[h - 1]):
+            lo = hi = h
+        else:
+            hi = h - 1
+    a = bisect_left(below, True, lo, hi, key=at_max)
     if a == len(below):
         return MainVerdict(delta, True, None, None, 0)
     alpha = below[a]
@@ -199,20 +220,17 @@ def _scan(
     budget: Optional[EvalBudget],
     memo: Memo,
 ) -> MainVerdict:
-    """Every alpha in order, then beta in order.
-
-    pairs_skipped counts the distinct pairs the budget refused and no
-    later attempt in this scan settled.
-    """
+    """Every alpha in order, then beta in order.  pairs_skipped counts the
+    distinct pairs the budget refused that no later attempt here settled."""
     refused = set()
 
-    def escape(alpha: Ordinal, beta: Ordinal) -> Optional[Tuple[bool, Optional[Ordinal]]]:
-        # _escape's answer, or None when the budget refuses the pair.
+    def escape(alpha: Ordinal, beta: Ordinal) -> Tuple[Optional[bool], Optional[Ordinal]]:
+        # _escape's answer, or (None, None) when the budget refuses the pair.
         try:
             result = _escape(i, delta, alpha, beta, budget, memo)
         except BudgetExceeded:
             refused.add((alpha, beta))
-            return None
+            return None, None
         refused.discard((alpha, beta))
         return result
 
@@ -222,13 +240,12 @@ def _scan(
         # and for alpha <= 1 at levels 1 and 2.  For alpha <= 1 from level 3
         # on every value is <= 1, which reaches delta only at delta = 1,
         # where 0 is the only beta.
-        probe = escape(alpha, below[-1])
-        if probe is not None and not probe[0]:
+        if escape(alpha, below[-1])[0] is False:
             continue
         for beta in below:
-            result = escape(alpha, beta)
-            if result is not None and result[0]:
-                return MainVerdict(delta, False, (alpha, beta), result[1], len(refused))
+            escaped, value = escape(alpha, beta)
+            if escaped:
+                return MainVerdict(delta, False, (alpha, beta), value, len(refused))
     return MainVerdict(delta, True, None, None, len(refused))
 
 
@@ -306,7 +323,11 @@ def enumerate_main_numbers(
     candidates = [x for x in entries if not x.is_zero]
 
     memo: Memo = {}
-    verdicts = [_classify(i, delta, entries, budget, memo) for delta in candidates]
+    verdicts: List[MainVerdict] = []
+    hint = None
+    for delta in candidates:
+        verdicts.append(_classify(i, delta, entries, budget, memo, hint))
+        hint = verdicts[-1].witness[0] if verdicts[-1].witness else hint
     confirmed = [v.candidate for v in verdicts if v.main]
     confirmed_infinite = [x for x in confirmed if not x.is_natural]
     rows: List[ConjectureRow] = []

@@ -272,24 +272,39 @@ class TestReportJson:
 class TestSearch:
     """The monotone search settles each candidate as the plain scan does."""
 
-    @staticmethod
-    def _routes(i, bound):
-        entries = candidate_lattice(bound=bound)
-        searched, scanned = {}, {}
-        for k, delta in enumerate(entries[1:], 1):
-            a = mains._classify(i, delta, entries, B, searched)
-            b = mains._scan(i, delta, entries[:k], B, scanned)
-            yield a[:4], b[:4]
-
-    @pytest.mark.parametrize("i, bound", [
+    BOUNDS = [
         (1, pow_(W, pow_(W, nat(3), B), B)),
         (2, pow_(W, pow_(W, nat(2), B), B)),
         (3, pow_(W, pow_(W, nat(2), B), B)),
         (4, pow_(W, W, B)),
         (5, pow_(W, nat(3), B)),
-    ])
+    ]
+
+    @staticmethod
+    def _routes(i, bound, hints=lambda below: [None]):
+        # Each candidate's search, once per hint that hints(below) gives,
+        # against its scan; each route shares one memo over the candidates.
+        entries = candidate_lattice(bound=bound)
+        searched, scanned = {}, {}
+        for k, delta in enumerate(entries[1:], 1):
+            b = mains._scan(i, delta, entries[:k], B, scanned)
+            for hint in hints(entries[:k]):
+                a = mains._classify(i, delta, entries, B, searched, hint)
+                yield a[:4], b[:4]
+
+    @pytest.mark.parametrize("i, bound", BOUNDS)
     def test_same_verdicts_as_the_scan(self, i, bound):
         for searched, scanned in self._routes(i, bound):
+            assert searched == scanned
+
+    @pytest.mark.parametrize("i, bound", BOUNDS)
+    def test_any_hint_gives_the_scans_verdict(self, i, bound):
+        # The warm start is only a starting point: the first alpha, the
+        # last, and every fourth of the way between give the same verdict.
+        def hints(below):
+            return [None, *below[::max(1, len(below) // 4)], below[-1]]
+
+        for searched, scanned in self._routes(i, bound, hints):
             assert searched == scanned
 
     def test_refusal_falls_back_to_the_scan(self, monkeypatch):
@@ -314,6 +329,8 @@ class TestReportBytes:
     @pytest.mark.parametrize("i, bound, sha", [
         (2, pow_(W, pow_(W, nat(3), B), B),
          "e4ba830971c11696958a843b11781ecc53fbf9648d700ce135e391215cd285fe"),
+        (2, pow_(W, pow_(W, nat(4), B), B),
+         "ed80f3b1f6977456d1a86ada9ca167cabaa88fdc7701e327a5b1a1e83df132f3"),
         (1, pow_(W, nat(5), B),
          "2fcf78fca328a7a37b5ad222833ede153ebf14b95c34b19adb83394927ce8546"),
         # Reports the scan fallback decides: pairs_skipped 189, 78 and 505.
@@ -342,8 +359,8 @@ def test_shared_memo_holds_one_table_per_level_and_alpha(monkeypatch):
     enumerate_main_numbers(2, pow_(W, pow_(W, nat(3), B), B))
     memo = memos[0]
     assert all(m is memo for m in memos)
-    assert len(memo) == 70
-    assert sum(map(len, memo.values())) == 53857
+    assert len(memo) == 25
+    assert sum(map(len, memo.values())) == 13096
     for key, table in memo.items():
         level, alpha = key
         assert type(level) is int and level in (2, 3) and isinstance(alpha, Ordinal)
