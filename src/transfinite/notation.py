@@ -38,17 +38,45 @@ __all__ = [
 
 class _Node:
     """A node equals only a node of its own type (Add(a, b) != Mul(a, b)),
-    hashes by its fields and is always true, even the fieldless Omega()."""
+    hashes by its fields and is always true, even the fieldless Omega().
+    Equality and repr walk from a work list, so trees of any depth work."""
 
     __slots__ = ()
 
     def __eq__(self, other):
-        return type(self) is type(other) and tuple.__eq__(self, other)
+        todo = [(self, other)]
+        while todo:
+            x, y = todo.pop()
+            if isinstance(x, _Node):
+                if type(x) is not type(y):
+                    return False
+                todo += zip(x, y)
+            elif x != y:
+                return False
+        return True
 
     def __ne__(self, other):
         return not self == other
 
     __hash__ = tuple.__hash__
+
+    def __repr__(self):
+        # The named tuple's text, Add(left=Omega(), right=NatLit(value=2)),
+        # from a work list of literal text and (field value,) items.
+        out, todo = [], [(self,)]
+        while todo:
+            item = todo.pop()
+            if type(item) is str:
+                out.append(item)
+            elif not isinstance(item[0], _Node):
+                out.append(repr(item[0]))
+            else:
+                node = item[0]
+                out.append(type(node).__name__ + "(")
+                todo.append(")")
+                for k in reversed(range(len(node))):
+                    todo += ((node[k],), ", " * (k > 0) + node._fields[k] + "=")
+        return "".join(out)
 
     def __bool__(self):
         return True

@@ -94,6 +94,14 @@ class TestNodes:
     def test_repr_names_the_fields(self):
         assert repr(parse("w+2")) == "Add(left=Omega(), right=NatLit(value=2))"
 
+    def test_trees_past_the_interpreter_stack_compare_and_print(self):
+        # Each tree is 3000 deep; the last two differ only at the deepest leaf.
+        tree, same = (parse(" + ".join(["w"] * 3000)) for _ in range(2))
+        other = parse(" + ".join(["1"] + ["w"] * 2999))
+        assert tree == same and not tree != same and hash(tree) == hash(same)
+        assert tree != other and not tree == other
+        assert repr(tree) == "Add(left=" * 2999 + "Omega()" + ", right=Omega())" * 2999
+
 
 class TestParseErrors:
     def test_unknown_character_position(self):
@@ -189,8 +197,7 @@ class TestEvaluation:
         assert eval_expr(parse("H(4,2,5)"), roomy) == from_natural(2**65536)
 
     def test_tree_past_the_interpreter_stack_evaluates(self):
-        # The tree of the sum is 3000 deep.  == and repr of such a tree
-        # still recurse, so the values are compared, not the trees.
+        # The tree of the sum is 3000 deep.
         assert eval_expr(parse(" + ".join(["w"] * 3000))) == mul(W, nat(3000))
 
     @pytest.mark.parametrize("form", ["{} + {}", "{}^{}", "S(2,{},{})"],
