@@ -167,7 +167,7 @@ def _search(
     below: Sequence[Ordinal],
     budget: Optional[EvalBudget],
     memo: Memo,
-    hint: Optional[Ordinal] = None,
+    hint: Optional[Ordinal],
 ) -> MainVerdict:
     """The least escaping pair in (alpha, beta) order, found by bisection.
 

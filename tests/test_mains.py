@@ -329,8 +329,6 @@ class TestReportBytes:
     @pytest.mark.parametrize("i, bound, sha", [
         (2, pow_(W, pow_(W, nat(3), B), B),
          "e4ba830971c11696958a843b11781ecc53fbf9648d700ce135e391215cd285fe"),
-        (2, pow_(W, pow_(W, nat(4), B), B),
-         "ed80f3b1f6977456d1a86ada9ca167cabaa88fdc7701e327a5b1a1e83df132f3"),
         (1, pow_(W, nat(5), B),
          "2fcf78fca328a7a37b5ad222833ede153ebf14b95c34b19adb83394927ce8546"),
         # Reports the scan fallback decides: pairs_skipped 189, 78 and 505.
@@ -340,6 +338,9 @@ class TestReportBytes:
          "90aa65ed13f00c9af56310ebeff28fdcb15a458247a2c5371e5f4a1108d374ec"),
         (4, pow_(W, pow_(W, nat(2), B), B),
          "1ffb4d444e9a5a70a8fd348f32137ea1e57657f7473bec8ed23cf1a36c183261"),
+        # A longer run of warm-started alpha searches than below w^(w^3).
+        (2, pow_(W, pow_(W, nat(4), B), B),
+         "ed80f3b1f6977456d1a86ada9ca167cabaa88fdc7701e327a5b1a1e83df132f3"),
     ])
     def test_report_sha256(self, i, bound, sha):
         text = json.dumps(enumerate_main_numbers(i, bound).json_dict(), indent=2) + "\n"

@@ -95,7 +95,7 @@ class TestNodes:
         assert repr(parse("w+2")) == "Add(left=Omega(), right=NatLit(value=2))"
 
     def test_trees_past_the_interpreter_stack_compare_and_print(self):
-        # Each tree is 3000 deep; the last two differ only at the deepest leaf.
+        # Each tree is 3000 deep; other differs from tree only at its deepest leaf.
         tree, same = (parse(" + ".join(["w"] * 3000)) for _ in range(2))
         other = parse(" + ".join(["1"] + ["w"] * 2999))
         assert tree == same and not tree != same and hash(tree) == hash(same)
