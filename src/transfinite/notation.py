@@ -39,7 +39,7 @@ __all__ = [
 class _Node:
     """A node equals only a node of its own type (Add(a, b) != Mul(a, b)),
     hashes by its fields and is always true, even the fieldless Omega().
-    Equality and repr walk from a work list, so trees of any depth work."""
+    Equality, hash and repr walk from a work list, so trees of any depth work."""
 
     __slots__ = ()
 
@@ -58,7 +58,13 @@ class _Node:
     def __ne__(self, other):
         return not self == other
 
-    __hash__ = tuple.__hash__
+    def __hash__(self):
+        # Of every node's type and every leaf, listed breadth first.
+        todo = [self]
+        for x in todo:
+            if isinstance(x, _Node):
+                todo += x
+        return hash(tuple(type(x) if isinstance(x, _Node) else x for x in todo))
 
     def __repr__(self):
         # The named tuple's text, Add(left=Omega(), right=NatLit(value=2)),

@@ -21,6 +21,7 @@ accumulators), which is exactly what it exists to demonstrate.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .arithmetic import add, mul, pow_
@@ -51,6 +52,20 @@ __all__ = [
 
 # One table per (level, alpha): memo[n, alpha][beta]; naive_ext's at level -n.
 Memo = Dict[Tuple[int, Ordinal], Dict[Ordinal, Ordinal]]
+
+
+# op(*args) for _combine_run's closed forms and _sup's chains, kept across
+# evaluations in a 256-entry LRU like lub._points.  Unmetered: callers charge
+# the steps a hit skips, so a hit moves no answer, refusal or count.
+@functools.lru_cache(maxsize=256)
+def _shared(op, *args):
+    return op(*args)
+
+
+def _chain(n: int, head: Ordinal) -> dict:
+    # {k: <H, ... <H, H>>} with k copies of H at level n - 1, filled in key
+    # order by _sup; a write only ever sets an entry to its one value.
+    return {1: head}
 
 
 def synth(
@@ -122,7 +137,9 @@ def _sup(ctx: Meter, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordina
     sample k - 1 as <H, sample k-1> at level n - 1, with
     H = synth(n, alpha, w^g): one add(H, prev) at level 2, one
     mul(H, prev) at level 3.  Addition and multiplication are
-    associative, so the value is the one _fold gives.
+    associative, so the value is the one _fold gives.  The samples
+    depend only on (n, H), so the chain is one table per (n, H) in
+    _shared, fetched at sample w^g and extended from its last entry.
 
     The chain charges what the fold charges, in one Meter.step at the
     sample's own depth: one step for the sample plus the level-1 run's
@@ -134,16 +151,15 @@ def _sup(ctx: Meter, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordina
 
     The chain relies on sample_and_infer's order, 0, 1, then lam[k] =
     w^g*k for k = 0, 1, 2, ..., stopping at the first refusal: sample
-    k >= 2 always comes right after a finished sample k - 1, and sample
-    w^g (k = 1) has set H by then.  Level 1 is addition itself, with no
-    fold to chain.
+    w^g (k = 1) has fetched the chain before any sample k >= 2 reads
+    it.  Level 1 is addition itself, with no fold to chain.
 
     Level 5 and up need no chain: the fold combines through the memoized
     _eval, so only one evaluation per sample is new.  Level 4 combines
-    through _combine_run's unmemoized loop of closed powers, so sample k
-    makes all k - 1 of its powers again; that costs little only because
-    the tower cut or the bit cap ends such runs within a few samples
-    (S(4, 2, w^2) makes 13 pow_ calls at 8 samples and at 16).
+    through _combine_run's loop of closed powers, which _shared keeps, so
+    sample k makes one power more than sample k - 1 (S(4, 2, w^2) makes 6
+    pow_ calls at 8 samples and at 16); the tower cut or the bit cap ends
+    such runs within a few samples.
     """
     depth += 1
     exp = lam.terms[0][0]
@@ -151,24 +167,27 @@ def _sup(ctx: Meter, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordina
         return sample_and_infer(lambda gamma: _eval(ctx, n, alpha, gamma, depth), lam, ctx)
     g = predecessor(exp)
     table = ctx.memo.setdefault((n, alpha), {})
-    head = prev = None  # the values of sample w^g and of the last sample
+    op = add if n == 2 else mul
+    chain = None  # sample w^g*k at chain[k], set at sample w^g
 
     def eval_at(gamma: Ordinal) -> Ordinal:
-        nonlocal head, prev
+        nonlocal chain
         terms = gamma.terms
         k = terms[0][1] if len(terms) == 1 and terms[0][0] is g else 0
         if k < 2 or (n == 3 and k - 1 > ctx.max_bits):
             value = _eval(ctx, n, alpha, gamma, depth)
-        else:
-            value = table.get(gamma)
-            if value is None:
-                ctx.step(depth, 1 + (k - 1).bit_length() if n == 2 else 2)
-                value = add(head, prev) if n == 2 else mul(head, prev)
-                ctx.check_size(value)
-                table[gamma] = value
-        if k == 1:
-            head = value
-        prev = value
+            if k == 1:
+                chain = _shared(_chain, n, value)
+            return value
+        value = table.get(gamma)
+        if value is None:
+            ctx.step(depth, 1 + (k - 1).bit_length() if n == 2 else 2)
+            while len(chain) < k:
+                j = len(chain)
+                chain[j + 1] = op(chain[1], chain[j])
+            value = chain[k]
+            ctx.check_size(value)
+            table[gamma] = value
         return value
 
     return sample_and_infer(eval_at, lam, ctx)
@@ -215,7 +234,8 @@ def _combine_run(
     be re-decomposed and re-sampled at every step, and evaluation cost
     would explode with nesting depth instead of staying proportional to
     term count.  Level 4 and above stay literal: one recursive
-    application per unit.
+    application per unit.  The closed products and powers come from
+    _shared, with the budget, which decides pow_'s refusals, in its key.
     """
     if count == 0:
         return value
@@ -224,19 +244,19 @@ def _combine_run(
         # the copies are the product head*count.  The run costs
         # count.bit_length() steps, what summing them by doubling takes.
         ctx.step(depth, count.bit_length())
-        return add(mul(head, from_natural(count)), value)
+        return add(_shared(mul, head, from_natural(count)), value)
     if m == 2:
         # count left-multiplications by head collapse to head^count; the
         # closed power keeps giant unit counts cheap and budget-checked.
         ctx.step(depth)
-        return mul(pow_(head, from_natural(count), ctx.budget), value)
+        return mul(_shared(pow_, head, from_natural(count), ctx.budget), value)
     if m == 3:
         # Iterated powers do not collapse further, but each application
         # is one closed power instead of a descent that re-samples the
         # accumulator's whole fundamental-sequence closure.
         for _ in range(count):
             ctx.step(depth)
-            value = pow_(head, value, ctx.budget)
+            value = _shared(pow_, head, value, ctx.budget)
             ctx.check_size(value)
         return value
     for _ in range(count):

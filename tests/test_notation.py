@@ -1,6 +1,9 @@
 """Parser, evaluator, and formatter for the expression syntax."""
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -101,6 +104,17 @@ class TestNodes:
         assert tree == same and not tree != same and hash(tree) == hash(same)
         assert tree != other and not tree == other
         assert repr(tree) == "Add(left=" * 2999 + "Omega()" + ", right=Omega())" * 2999
+        # A hash that recursed in C would crash the interpreter here, so it
+        # runs in a child process.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from transfinite.notation import parse\n"
+             "tree, same = (parse(' + '.join(['w'] * 300000)) for _ in range(2))\n"
+             "print(hash(tree) == hash(same))"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
 
 
 class TestParseErrors:

@@ -16,7 +16,7 @@ from support import (
     W, coefficient_bits, nat, pair_corpus_below_w_w2, reference_compare,
     repeated_term_count, tree_corpus, w_times_plus,
 )
-from transfinite import lub
+from transfinite import lub, synthesis
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.errors import BudgetExceeded, OrdinalDomainError
 from transfinite.mains import candidate_lattice
@@ -130,10 +130,12 @@ class TestInterning:
     def test_dead_values_leave_no_entry(self):
         # Distinct summands keep the values apart from those other tests
         # hold; the memos keep every intermediate alive until the end.  The
-        # sample-point cache holds limits on purpose, so it is emptied first.
+        # sample-point cache and synthesis's shared closed forms hold values
+        # on purpose, so they are emptied first.
         pairs = [(add(a, nat(1000 + i)), add(b, nat(5)))
                  for i, (a, b) in enumerate(pair_corpus_below_w_w2(100, seed=11))]
         lub._points.cache_clear()
+        synthesis._shared.cache_clear()
         gc.collect()
         baseline = len(_TABLE)
         memos = []
@@ -144,6 +146,7 @@ class TestInterning:
         assert len(_TABLE) > baseline + 1000
         del memos
         lub._points.cache_clear()
+        synthesis._shared.cache_clear()
         gc.collect()
         assert len(_TABLE) == baseline
 

@@ -5,7 +5,11 @@ computed by the independent integer evaluator; those grids are the
 oracle.  The transfinite fixtures are frozen closed forms, each derivable
 by unrolling the unit fold by hand (see the comments).
 """
+import gc
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import ordinals
 from support import W, nat, pair_corpus_below_w_w2, rand_tree
 
-from transfinite import synthesis
+from transfinite import ordinal, synthesis
 
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget, Meter
@@ -196,6 +200,137 @@ class TestChainedSamples:
         value = lambda text: eval_expr(parse(text))
         got = _traced(n, value(alpha), value(beta), budget, entry)
         assert got == (value(expected), work, entries)
+
+
+def _evaluation(n, alpha, beta, budget):
+    """(value or refusal, work steps, memo contents) of a fresh evaluation."""
+    ctx = Meter(budget)
+    try:
+        value = _eval(ctx, n, alpha, beta, 0)
+    except (BudgetExceeded, NotRepresentable) as err:
+        value = (type(err), str(err))
+    return value, ctx.work, ctx.memo
+
+
+class TestShared:
+    """synthesis._shared, the LRU of closed forms and chains shared across
+    evaluations.  A hit skips only arithmetic, never a step or a refusal."""
+
+    ANSWERS = [
+        (2, "w+1", "w^3", B), (2, "w^2+3", "w^(w+2)*2+w", B),
+        (3, "w+2", "w^2*3+w", B), (3, "2", "w^3", EvalBudget(sup_samples=16)),
+        (3, "w*2+1", "w^3", EvalBudget(max_bits=2, sup_samples=16)),
+        (4, "2", "w*2", B), (4, "w+1", "2", B),
+    ]
+    # Two towers, a power over the bit cap, and a chained sample over it.
+    REFUSALS = [
+        (4, "3", "w^2", B), (4, "2", "w^2", EvalBudget(sup_samples=16)),
+        (3, "2", "20000", B), (2, mul(W, nat(2**16383)), "w", B),
+    ]
+
+    @staticmethod
+    def _args(n, alpha, beta, budget):
+        value = lambda x: eval_expr(parse(x)) if isinstance(x, str) else x
+        return n, value(alpha), value(beta), budget
+
+    @pytest.mark.parametrize("case", ANSWERS + REFUSALS)
+    def test_warm_evaluation_matches_cold(self, case):
+        args = self._args(*case)
+        synthesis._shared.cache_clear()
+        cold = _evaluation(*args)
+        assert _evaluation(*args) == cold
+
+    @pytest.mark.parametrize("case", ANSWERS)
+    def test_warm_answers_hit(self, case):
+        args = self._args(*case)
+        synthesis._shared.cache_clear()
+        _evaluation(*args)
+        hits = synthesis._shared.cache_info().hits
+        _evaluation(*args)
+        assert synthesis._shared.cache_info().hits > hits
+
+    @pytest.mark.parametrize("case, refusal", zip(REFUSALS, [
+        (NotRepresentable, "samples climb a w-tower; the supremum is not below epsilon_0"),
+        (NotRepresentable, "samples climb a w-tower; the supremum is not below epsilon_0"),
+        (BudgetExceeded, "2^19999 exceeds the bit budget"),
+        (BudgetExceeded, "a 16385-bit natural exceeds the 16384-bit cap"),
+    ]))
+    def test_refusals_keep_their_messages_warm(self, case, refusal):
+        args = self._args(*case)
+        synthesis._shared.cache_clear()
+        for _ in range(2):
+            assert _evaluation(*args)[0] == refusal
+
+    def test_budget_is_part_of_the_power_key(self):
+        synthesis._shared.cache_clear()
+        assert synth(3, nat(2), nat(20000), EvalBudget(max_bits=10**6)) == nat(2**20000)
+        with pytest.raises(BudgetExceeded, match=r"^2\^19999 exceeds the bit budget$"):
+            synth(3, nat(2), nat(20000), B)
+
+    def test_size_is_bounded(self):
+        for k in range(1, 300):
+            synthesis._shared(mul, W, nat(k))
+        info = synthesis._shared.cache_info()
+        assert info.maxsize == 256 and info.currsize == 256
+
+    def test_clearing_frees_values_only_the_cache_held(self):
+        # synth(2, alpha, w^2) leaves the chain H, H*2, ..., H*7 of
+        # H = alpha*w = w^982451654 in the cache, and no memo.
+        alpha = add(omega_power(nat(982451653)), ONE)
+        synth(2, alpha, W2, B)
+        head, last = (synth(2, alpha, beta, B) for beta in (W, mul(W, nat(7))))
+        refs = [weakref.ref(head), weakref.ref(last)]
+        keys = [head.terms, last.terms]
+        del alpha, head, last
+        gc.collect()
+        assert all(r() is not None for r in refs)
+        synthesis._shared.cache_clear()
+        gc.collect()
+        assert all(r() is None for r in refs)
+        assert not any(k in ordinal._TABLE for k in keys)
+
+    def test_threads_extending_one_chain_agree(self):
+        # Eight threads sample the same level-2 and level-3 chains at once,
+        # with a short switch interval; each must see what a lone
+        # evaluation sees.
+        alpha = eval_expr(parse("w^2+3"))
+        cases = [(n, alpha, W2, EvalBudget(sup_samples=s)) for n in (2, 3) for s in (12, 24)]
+        want = [_evaluation(*case) for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                synthesis._shared.cache_clear()
+                got = [None] * 8
+                def run(i):
+                    got[i] = _evaluation(*cases[i % 4])
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == [want[i % 4] for i in range(8)]
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("text, calls", [
+        ("S(4,2,w^2)", 6), ("S(4,2,w^3)", 6), ("S(4,2,w^w)", 6),
+        ("S(4,3,w^2)", 5), ("S(4,2,w*2)", 5),
+    ])
+    @pytest.mark.parametrize("samples", [8, 16])
+    def test_level_four_makes_each_power_once(self, monkeypatch, text, calls, samples):
+        # Sample k of a level-4 supremum runs the powers of sample k - 1
+        # and one more, so each distinct power is made once.
+        made = []
+        real = synthesis.pow_
+        monkeypatch.setattr(synthesis, "pow_", lambda *args: made.append(args) or real(*args))
+        synthesis._shared.cache_clear()
+        try:
+            eval_expr(parse(text), EvalBudget(sup_samples=samples))
+        except NotRepresentable:
+            pass
+        assert len(made) == calls
 
 
 class TestTransfiniteFixtures:
