@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .budget import EvalBudget
+from .budget import DEFAULT_BUDGET, EvalBudget
 from .errors import BudgetExceeded
 from .ordinal import (
     ZERO,
@@ -70,9 +70,9 @@ def pow_(x: Ordinal, y: Ordinal, budget: Optional[EvalBudget] = None) -> Ordinal
     """x ** y in closed form.
 
     The budget caps the size of natural powers and of repeated squaring;
-    without one the default EvalBudget applies.
+    without one DEFAULT_BUDGET applies.
     """
-    budget = budget or EvalBudget()
+    budget = budget or DEFAULT_BUDGET
     if y is ZERO:
         return ONE
     if x is ZERO:

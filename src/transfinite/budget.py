@@ -1,10 +1,11 @@
 """Evaluation budgets and the meter that enforces them.
 
 Every potentially expensive evaluation takes an EvalBudget, plain
-immutable data.  Each refusal rule is written here once: the bits rule
-is EvalBudget.check_bits, and a Meter is the context of one evaluation:
-it holds the work counter and the memo, applies the depth, work and size
-caps, and refuses an overflow of the interpreter stack.
+immutable data, and DEFAULT_BUDGET when it is given none.  Each refusal
+rule is written here once: the bits rule is EvalBudget.check_bits, and a
+Meter is the context of one evaluation: it holds the work counter and the
+memo, applies the depth, work and size caps, and refuses an overflow of
+the interpreter stack.
 """
 
 from __future__ import annotations
@@ -77,10 +78,14 @@ class EvalBudget(namedtuple("EvalBudget", "max_depth max_bits sup_samples")):
         return cls(**{k: v for k, v in overrides.items() if v is not None})
 
 
+# The budget of every evaluation that is given none.
+DEFAULT_BUDGET = EvalBudget()
+
+
 class Meter:
     """The context of one evaluation: its budget, work counter and memo.
 
-    The default EvalBudget applies when none is given, and a fresh memo
+    DEFAULT_BUDGET applies when none is given, and a fresh memo
     unless one is passed to share.  Evaluators run through run(), call
     step() for one or more units of work at one depth and check_size()
     on each value they produce.  sample_and_infer gives a refused
@@ -90,7 +95,7 @@ class Meter:
     __slots__ = ("budget", "memo", "work", "max_depth", "max_work", "max_bits")
 
     def __init__(self, budget: Optional[EvalBudget] = None, memo: Optional[dict] = None):
-        self.budget = budget = budget or EvalBudget()
+        self.budget = budget = budget or DEFAULT_BUDGET
         self.memo = {} if memo is None else memo
         self.work = 0
         self.max_depth, self.max_work, self.max_bits = (

@@ -30,6 +30,16 @@ height as it arrives, and its in-flight tower check reads the last four.
 Sample points come from a 256-entry LRU shared across evaluations; it
 holds each interned limit it keys on, so no key goes stale.
 
+The rule search on a strictly increasing run, _infer_increasing, is a
+second 256-entry LRU with no setting, keyed by the run as a tuple of term
+tuples: classify_lub looks up its increasing tail, PREFIX_PEEL its peeled
+remainders and EXPONENT_GROWTH its exponent run.  It reads nothing else,
+and values are interned, so an answer depends on its key alone.  It is
+unmetered, like the rest of classify_lub, and moves no answer, rule or
+refusal; a cached None still makes classify_lub raise with the current
+call's samples.  It keeps alive the exponents inside its keys and the
+values of its answers until they fall out or cache_clear() runs.
+
 The inferred value is exact whenever the sampled function is weakly
 increasing and the sample points are cofinal in the limit, which holds for
 the operations in this package on every argument the growth rules accept.
@@ -40,7 +50,7 @@ from __future__ import annotations
 import enum
 import functools
 from operator import attrgetter, is_not, lt
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .arithmetic import add
 from .budget import Meter
@@ -86,7 +96,7 @@ def classify_lub(samples: Sequence[Ordinal]) -> Tuple[Ordinal, LubInference]:
         )
 
     # Everything else needs a strictly increasing tail to read a trend from.
-    run = list(map(_TERMS, samples))
+    run = tuple(map(_TERMS, samples))
     i = len(run) - 1
     while i > 0 and run[i - 1] < run[i]:
         i -= 1
@@ -98,7 +108,8 @@ def classify_lub(samples: Sequence[Ordinal]) -> Tuple[Ordinal, LubInference]:
     return max([value, *samples[:i]], key=_TERMS), rule
 
 
-def _infer_increasing(run: List[tuple]) -> Optional[Tuple[Ordinal, LubInference]]:
+@functools.lru_cache(maxsize=256)
+def _infer_increasing(run: Tuple[tuple, ...]) -> Optional[Tuple[Ordinal, LubInference]]:
     """Infer the lub of a strictly increasing run, retrying on suffixes.
 
     A run whose early entries come from seed stages can hide the trend
@@ -117,7 +128,7 @@ def _infer_increasing(run: List[tuple]) -> Optional[Tuple[Ordinal, LubInference]
     return None
 
 
-def _lub_of_increasing(run: List[tuple]) -> Optional[Tuple[Ordinal, LubInference]]:
+def _lub_of_increasing(run: Tuple[tuple, ...]) -> Optional[Tuple[Ordinal, LubInference]]:
     # run: >= 3 strictly increasing nonzero term tuples.  At most one rule
     # applies: a shared prefix fixes every leading exponent and
     # coefficient, and strictly increasing exponents are not a fixed one.
@@ -127,7 +138,7 @@ def _lub_of_increasing(run: List[tuple]) -> Optional[Tuple[Ordinal, LubInference
     prefix = _common_term_prefix(run)
     if prefix:
         n = len(prefix)
-        sub = _infer_increasing([t[n:] for t in run])
+        sub = _infer_increasing(tuple([t[n:] for t in run]))
         return None if sub is None else (add(_ord(prefix), sub[0]), LubInference.PREFIX_PEEL)
 
     # Leading exponents never fall along an increasing run, and values are
@@ -137,7 +148,7 @@ def _lub_of_increasing(run: List[tuple]) -> Optional[Tuple[Ordinal, LubInference
     # EXPONENT_GROWTH.
     exps = [t[0][0] for t in run]
     if all(map(is_not, exps, exps[1:])):
-        sub = _infer_increasing([e.terms for e in exps])
+        sub = _infer_increasing(tuple([e.terms for e in exps]))
         return None if sub is None else (omega_power(sub[0]), LubInference.EXPONENT_GROWTH)
 
     # COEFFICIENT_GROWTH.
@@ -149,7 +160,7 @@ def _lub_of_increasing(run: List[tuple]) -> Optional[Tuple[Ordinal, LubInference
     return None
 
 
-def _common_term_prefix(run: List[tuple]) -> tuple:
+def _common_term_prefix(run: Tuple[tuple, ...]) -> tuple:
     # run is strictly increasing (_lub_of_increasing is the one caller), and
     # the values that begin with a given term prefix form an interval of the
     # order, so the first and last samples agree exactly where all do.  A

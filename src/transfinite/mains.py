@@ -32,7 +32,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .budget import EvalBudget
+from .budget import DEFAULT_BUDGET, EvalBudget
 from .errors import BudgetExceeded, NotRepresentable, OrdinalDomainError
 from .ordinal import OMEGA, ONE, ZERO, Ordinal, check_natural, from_natural, omega_power
 from .synthesis import Memo, synth
@@ -317,7 +317,7 @@ def enumerate_main_numbers(
     check_natural(i, "operation index", 1)
     if not isinstance(bound, Ordinal) or bound.is_zero:
         raise OrdinalDomainError(f"bound must be an Ordinal > 0, got {bound!r}")
-    budget = budget or EvalBudget()
+    budget = budget or DEFAULT_BUDGET
     depth, coeff, terms = lattice_spec
     entries = candidate_lattice(depth, coeff, terms, bound=bound)
     candidates = [x for x in entries if not x.is_zero]

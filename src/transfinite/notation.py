@@ -23,7 +23,7 @@ from collections import namedtuple
 from typing import List, Optional, Tuple, Union
 
 from .arithmetic import add, mul, pow_
-from .budget import EvalBudget
+from .budget import DEFAULT_BUDGET, EvalBudget
 from .errors import BudgetExceeded, ParseError
 from .hyper import hyper, left_hyper
 from .ordinal import OMEGA, Ordinal, from_natural
@@ -280,7 +280,7 @@ def eval_expr(node: Expr, budget: Optional[EvalBudget] = None) -> Ordinal:
     embedded via from_natural.  Every value, operands included, is held to
     max_bits.  Raises BudgetExceeded or NotRepresentable.
     """
-    budget = budget or EvalBudget()
+    budget = budget or DEFAULT_BUDGET
     todo = [node]
     values = []
     while todo:

@@ -621,3 +621,54 @@ class TestPoints:
         gc.collect()
         assert all(r() is None for r in refs)
         assert not any(k in ordinal._TABLE for k in keys)
+
+
+class TestRuleCache:
+    """lub._infer_increasing, the LRU of rule searches on increasing runs."""
+
+    @given(st.one_of(SAMPLE_LISTS, INCREASING_RUNS, SHIFTED_RUNS, GROWING_RUNS),
+           st.lists(ordinals(), max_size=3))
+    def test_warm_outcome_matches_cold(self, samples, lead):
+        # The longer run shares the shorter one's tail and sub-runs, so
+        # each warm call may be answered by entries the other left.
+        runs = [samples, lead + samples]
+        cold = []
+        for run in runs:
+            lub._infer_increasing.cache_clear()
+            cold.append(_outcome(classify_lub, run))
+        assert [_outcome(classify_lub, run) for run in runs] == cold
+
+    def test_cached_no_rule_raises_with_the_current_samples(self):
+        # Both runs end in the increasing tail [1, 2, w], which fits no rule.
+        first, second = [ONE, nat(2), W], [W2, ONE, nat(2), W]
+        lub._infer_increasing.cache_clear()
+        with pytest.raises(NoPatternError, match="^samples match no growth rule$"):
+            classify_lub(first)
+        hits = lub._infer_increasing.cache_info().hits
+        with pytest.raises(NoPatternError, match="^samples match no growth rule$") as err:
+            classify_lub(second)
+        assert lub._infer_increasing.cache_info().hits > hits
+        assert err.value.samples == tuple(second)
+
+    def test_size_is_bounded(self):
+        for k in range(1, 300):
+            lub._infer_increasing(tuple(nat(k + j).terms for j in range(3)))
+        info = lub._infer_increasing.cache_info()
+        assert info.maxsize == 256 and info.currsize == 256
+
+    def test_clearing_frees_values_only_the_cache_held(self):
+        # [w^e, w^e*2, w^e*3] grows by coefficient to w^(e+1): the key holds
+        # e, and the answer holds w^(e+1).
+        e = nat(899809363)
+        lub._infer_increasing.cache_clear()
+        answer, _ = classify_lub([mul(omega_power(e), nat(k)) for k in (1, 2, 3)])
+        assert answer == omega_power(successor(e))
+        refs = [weakref.ref(e), weakref.ref(answer)]
+        keys = [e.terms, answer.terms]
+        del e, answer
+        gc.collect()
+        assert all(r() is not None for r in refs)
+        lub._infer_increasing.cache_clear()
+        gc.collect()
+        assert all(r() is None for r in refs)
+        assert not any(k in ordinal._TABLE for k in keys)

@@ -130,11 +130,12 @@ class TestInterning:
     def test_dead_values_leave_no_entry(self):
         # Distinct summands keep the values apart from those other tests
         # hold; the memos keep every intermediate alive until the end.  The
-        # sample-point cache and synthesis's shared closed forms hold values
-        # on purpose, so they are emptied first.
+        # sample-point cache, lub's rule-search cache and synthesis's shared
+        # closed forms hold values on purpose, so they are emptied first.
         pairs = [(add(a, nat(1000 + i)), add(b, nat(5)))
                  for i, (a, b) in enumerate(pair_corpus_below_w_w2(100, seed=11))]
         lub._points.cache_clear()
+        lub._infer_increasing.cache_clear()
         synthesis._shared.cache_clear()
         gc.collect()
         baseline = len(_TABLE)
@@ -146,6 +147,7 @@ class TestInterning:
         assert len(_TABLE) > baseline + 1000
         del memos
         lub._points.cache_clear()
+        lub._infer_increasing.cache_clear()
         synthesis._shared.cache_clear()
         gc.collect()
         assert len(_TABLE) == baseline

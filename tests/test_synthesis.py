@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import ordinals
 from support import W, nat, pair_corpus_below_w_w2, rand_tree
 
-from transfinite import ordinal, synthesis
+from transfinite import lub, ordinal, synthesis
 
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget, Meter
@@ -92,6 +92,40 @@ class TestClassicLevels:
             except BudgetExceeded:
                 continue
             assert got == closed[n](x, y), (n, x, y)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_answers_after_a_cut_run_are_mul_and_pow(self, monkeypatch, warm):
+        # A sample run the budget cuts is still inferred from.  Every level-2
+        # or level-3 answer given after such a cut equals the closed form,
+        # with lub's rule-search cache emptied before each call, or warmed
+        # by the same call first.
+        infer, cut = lub.infer_lub, []
+
+        def watching(samples):
+            if len(samples) < budget.sup_samples + 2:
+                cut.append(samples)
+            return infer(samples)
+
+        monkeypatch.setattr(lub, "infer_lub", watching)
+        closed = {2: mul, 3: lambda x, y: pow_(x, y, B)}
+        checked = {2: 0, 3: 0}
+        pairs = pair_corpus_below_w_w2(count=300, seed=5)
+        for budget in [EvalBudget(max_depth=d, max_bits=b)
+                       for d in (2, 3, 4, 6, 8) for b in (64, 16384)]:
+            for x, y in pairs:
+                for n in (2, 3):
+                    lub._infer_increasing.cache_clear()
+                    try:
+                        if warm:
+                            synth(n, x, y, budget)
+                        cut.clear()
+                        got = synth(n, x, y, budget)
+                    except (BudgetExceeded, NotRepresentable):
+                        continue
+                    if cut:
+                        checked[n] += 1
+                        assert got == closed[n](x, y), (n, x, y, budget)
+        assert checked[2] > 100 and checked[3] > 10
 
     @given(st.sampled_from((1, 2, 3)), ordinals(), ordinals())
     def test_levels_one_to_three_answer_the_closed_form_or_refuse(self, n, x, y):
@@ -275,7 +309,9 @@ class TestShared:
 
     def test_clearing_frees_values_only_the_cache_held(self):
         # synth(2, alpha, w^2) leaves the chain H, H*2, ..., H*7 of
-        # H = alpha*w = w^982451654 in the cache, and no memo.
+        # H = alpha*w = w^982451654 in the cache, and no memo.  lub's
+        # rule-search cache holds sample runs of the same values on
+        # purpose, so it is emptied too.
         alpha = add(omega_power(nat(982451653)), ONE)
         synth(2, alpha, W2, B)
         head, last = (synth(2, alpha, beta, B) for beta in (W, mul(W, nat(7))))
@@ -285,6 +321,7 @@ class TestShared:
         gc.collect()
         assert all(r() is not None for r in refs)
         synthesis._shared.cache_clear()
+        lub._infer_increasing.cache_clear()
         gc.collect()
         assert all(r() is None for r in refs)
         assert not any(k in ordinal._TABLE for k in keys)
