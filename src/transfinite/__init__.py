@@ -39,7 +39,7 @@ from .ordinal import (
     omega_power,
 )
 from .reference import reference_check, reference_eval
-from .synthesis import DistributionCheck, distributes, naive_ext, sup_limit, synth
+from .synthesis import DistributionCheck, distributes, naive_ext, synth
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,7 @@ __all__ = [
     "fundamental_sequence",
     "add", "mul", "pow_",
     "hyper", "left_hyper", "right_identity", "no_left_identity_witness",
-    "synth", "naive_ext", "sup_limit", "distributes", "DistributionCheck",
+    "synth", "naive_ext", "distributes", "DistributionCheck",
     "infer_lub", "classify_lub", "LubInference",
     "reference_eval", "reference_check",
     "is_main_number", "enumerate_main_numbers", "candidate_lattice",

@@ -43,28 +43,23 @@ class _Node:
 
     __slots__ = ()
 
-    def __eq__(self, other):
-        todo = [(self, other)]
-        while todo:
-            x, y = todo.pop()
+    def _flat(self):
+        # Every node's type and every leaf, breadth first.  Each type has a
+        # fixed number of fields, so this tuple determines the tree.
+        todo = [self]
+        for x in todo:
             if isinstance(x, _Node):
-                if type(x) is not type(y):
-                    return False
-                todo += zip(x, y)
-            elif x != y:
-                return False
-        return True
+                todo += x
+        return tuple(type(x) if isinstance(x, _Node) else x for x in todo)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._flat() == other._flat()
 
     def __ne__(self, other):
         return not self == other
 
     def __hash__(self):
-        # Of every node's type and every leaf, listed breadth first.
-        todo = [self]
-        for x in todo:
-            if isinstance(x, _Node):
-                todo += x
-        return hash(tuple(type(x) if isinstance(x, _Node) else x for x in todo))
+        return hash(self._flat())
 
     def __repr__(self):
         # The named tuple's text, Add(left=Omega(), right=NatLit(value=2)),

@@ -35,7 +35,6 @@ from .ordinal import (
     check_natural,
     from_natural,
     is_additive_principal,
-    is_limit,
     is_successor,
     limit_and_finite_parts,
     omega_power,
@@ -44,7 +43,6 @@ from .ordinal import (
 
 __all__ = [
     "synth",
-    "sup_limit",
     "naive_ext",
     "distributes",
     "DistributionCheck",
@@ -54,7 +52,7 @@ __all__ = [
 Memo = Dict[Tuple[int, Ordinal], Dict[Ordinal, Ordinal]]
 
 
-# op(*args) for _combine_run's closed forms and _sup's chains, kept across
+# op(*args) for _sup's chains and _combine_run's closed powers, kept across
 # evaluations in a 256-entry LRU like lub._points.  Unmetered: callers charge
 # the steps a hit skips, so a hit moves no answer, refusal or count.
 @functools.lru_cache(maxsize=256)
@@ -84,20 +82,6 @@ def synth(
     beta) is at memo[n, alpha][beta].
     """
     return _run(_eval, n, alpha, beta, budget, memo)
-
-
-def sup_limit(
-    n: int,
-    alpha: Ordinal,
-    lam: Ordinal,
-    budget: Optional[EvalBudget] = None,
-) -> Ordinal:
-    """Supremum of level-n values over all points below the limit lam.
-
-    Exposed for direct inspection of the sampling step; lam must be an
-    additive-principal limit, the only shape the ladder takes suprema of.
-    """
-    return _run(_principal_sup, n, alpha, lam, budget, None)
 
 
 def _run(evaluate, n, alpha, beta, budget, memo):
@@ -152,7 +136,7 @@ def _sup(ctx: Meter, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordina
     The chain relies on sample_and_infer's order, 0, 1, then lam[k] =
     w^g*k for k = 0, 1, 2, ..., stopping at the first refusal: sample
     w^g (k = 1) has fetched the chain before any sample k >= 2 reads
-    it.  Level 1 is addition itself, with no fold to chain.
+    it.
 
     Level 5 and up need no chain: the fold combines through the memoized
     _eval, so only one evaluation per sample is new.  Level 4 combines
@@ -163,7 +147,7 @@ def _sup(ctx: Meter, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordina
     """
     depth += 1
     exp = lam.terms[0][0]
-    if not 2 <= n <= 3 or not is_successor(exp):
+    if n > 3 or not is_successor(exp):
         return sample_and_infer(lambda gamma: _eval(ctx, n, alpha, gamma, depth), lam, ctx)
     g = predecessor(exp)
     table = ctx.memo.setdefault((n, alpha), {})
@@ -191,12 +175,6 @@ def _sup(ctx: Meter, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordina
         return value
 
     return sample_and_infer(eval_at, lam, ctx)
-
-
-def _principal_sup(ctx: Meter, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordinal:
-    if not (is_additive_principal(lam) and is_limit(lam)):
-        raise OrdinalDomainError(f"{lam} is not an additive-principal limit")
-    return _sup(ctx, n, alpha, lam, depth)
 
 
 def _fold(ctx: Meter, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> Ordinal:
@@ -234,8 +212,8 @@ def _combine_run(
     be re-decomposed and re-sampled at every step, and evaluation cost
     would explode with nesting depth instead of staying proportional to
     term count.  Level 4 and above stay literal: one recursive
-    application per unit.  The closed products and powers come from
-    _shared, with the budget, which decides pow_'s refusals, in its key.
+    application per unit.  The closed powers come from _shared, with
+    the budget, which decides pow_'s refusals, in its key.
     """
     if count == 0:
         return value
@@ -244,7 +222,7 @@ def _combine_run(
         # the copies are the product head*count.  The run costs
         # count.bit_length() steps, what summing them by doubling takes.
         ctx.step(depth, count.bit_length())
-        return add(_shared(mul, head, from_natural(count)), value)
+        return add(mul(head, from_natural(count)), value)
     if m == 2:
         # count left-multiplications by head collapse to head^count; the
         # closed power keeps giant unit counts cheap and budget-checked.

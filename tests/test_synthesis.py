@@ -32,7 +32,6 @@ from transfinite.synthesis import (
     _eval,
     distributes,
     naive_ext,
-    sup_limit,
     synth,
 )
 
@@ -163,35 +162,27 @@ class TestChainedSamples:
     of them.
     """
 
-    def _agree(self, monkeypatch, cases, entry=_eval):
+    def _agree(self, monkeypatch, cases):
         for n, x, y, budget in cases:
-            chained = _traced(n, x, y, budget, entry)
+            chained = _traced(n, x, y, budget)
             with monkeypatch.context() as m:
                 m.setattr(synthesis, "_sup", _plain_sup)
-                plain = _traced(n, x, y, budget, entry)
+                plain = _traced(n, x, y, budget)
             assert chained == plain, (n, x, y, budget)
 
     def test_matches_the_plain_route_on_random_trees(self, monkeypatch):
         # Levels 4 and up never reach a level-2 or level-3 supremum (their
         # folds at level 3 use the closed power), so they are not swept.
+        # The last four pairs put beta at a principal limit, up to w^(w+1).
         rng = random.Random(0)
+        value = lambda text: eval_expr(parse(text))
+        limits = [("w", "w"), ("w+1", "w^2"), ("2", "w^3"), ("w^2+3", "w^(w+1)")]
         pairs = [(rand_tree(rng, 3), rand_tree(rng, 3)) for _ in range(40)]
+        pairs += [(value(a), value(b)) for a, b in limits]
         budgets = [EvalBudget(max_depth=24, sup_samples=k) for k in (8, 16)]
         self._agree(monkeypatch, [
             (n, x, y, budget) for budget in budgets for n in (2, 3) for x, y in pairs
         ])
-
-    def test_sup_limit_matches_the_plain_route_at_every_level(self, monkeypatch):
-        # sup_limit reaches _sup at any level n >= 1, where _eval answers
-        # level 1 before sampling; only levels 2 and 3 may take the chain.
-        value = lambda text: eval_expr(parse(text))
-        pairs = [("w", "w"), ("w+1", "w^2"), ("2", "w^3"), ("w^2+3", "w^(w+1)")]
-        self._agree(monkeypatch, [
-            (n, value(a), value(b), EvalBudget(max_depth=24))
-            for n in (1, 2, 3, 4) for a, b in pairs
-        ], entry=synthesis._principal_sup)
-        assert sup_limit(1, W, W, B) == add(W, W)
-        assert sup_limit(1, W, W2, B) == W2
 
     def test_matches_the_plain_route_under_tiny_bit_caps(self, monkeypatch):
         # The level-3 fold's closed power refuses a non-principal
@@ -247,7 +238,7 @@ def _evaluation(n, alpha, beta, budget):
 
 
 class TestShared:
-    """synthesis._shared, the LRU of closed forms and chains shared across
+    """synthesis._shared, the LRU of chains and closed powers shared across
     evaluations.  A hit skips only arithmetic, never a step or a refusal."""
 
     ANSWERS = [
@@ -300,6 +291,17 @@ class TestShared:
         assert synth(3, nat(2), nat(20000), EvalBudget(max_bits=10**6)) == nat(2**20000)
         with pytest.raises(BudgetExceeded, match=r"^2\^19999 exceeds the bit budget$"):
             synth(3, nat(2), nat(20000), B)
+
+    def test_holds_chains_and_powers_only(self):
+        # A level-1 run's product is not kept; a level-2 run's power and
+        # each level-2 chain (here of H = w and H = w^2) are.
+        synthesis._shared.cache_clear()
+        synth(2, W, nat(5), B)
+        assert synthesis._shared.cache_info().currsize == 0
+        synth(3, add(W, ONE), nat(5), B)
+        assert synthesis._shared.cache_info().currsize == 1
+        synth(2, W, W2, B)
+        assert synthesis._shared.cache_info().currsize == 3
 
     def test_size_is_bounded(self):
         for k in range(1, 300):
@@ -446,20 +448,6 @@ class TestMonotonicity:
         assert pairs > 3000  # 3363 at the default budget
 
 
-class TestSupLimit:
-    def test_matches_full_evaluation(self):
-        assert sup_limit(3, W, W, B) == synth(3, W, W, B)
-        assert sup_limit(2, W, W2, B) == synth(2, W, W2, B)
-
-    def test_rejects_non_principal_limits(self):
-        with pytest.raises(OrdinalDomainError):
-            sup_limit(3, W, mul(W, nat(2)), B)
-
-    def test_rejects_non_limits(self):
-        with pytest.raises(OrdinalDomainError):
-            sup_limit(3, W, nat(5), B)
-
-
 class TestNaiveExtension:
     def test_collapse_above_omega(self):
         # The literal lift cannot tell any infinite right operand apart.
@@ -542,8 +530,8 @@ class TestDomainAndMemo:
 
     @pytest.mark.parametrize(
         "evaluate, beta",
-        [(synth, nat(2)), (naive_ext, nat(2)), (sup_limit, W), (distributes, nat(2))],
-        ids=["synth", "naive_ext", "sup_limit", "distributes"],
+        [(synth, nat(2)), (naive_ext, nat(2)), (distributes, nat(2))],
+        ids=["synth", "naive_ext", "distributes"],
     )
     def test_interpreter_stack_overflow_is_refused(self, evaluate, beta):
         # A depth cap past the interpreter stack lets the stack overflow
