@@ -173,16 +173,26 @@ class TestChainedSamples:
     def test_matches_the_plain_route_on_random_trees(self, monkeypatch):
         # Levels 4 and up never reach a level-2 or level-3 supremum (their
         # folds at level 3 use the closed power), so they are not swept.
-        # The last four pairs put beta at a principal limit, up to w^(w+1).
         rng = random.Random(0)
-        value = lambda text: eval_expr(parse(text))
-        limits = [("w", "w"), ("w+1", "w^2"), ("2", "w^3"), ("w^2+3", "w^(w+1)")]
         pairs = [(rand_tree(rng, 3), rand_tree(rng, 3)) for _ in range(40)]
-        pairs += [(value(a), value(b)) for a, b in limits]
         budgets = [EvalBudget(max_depth=24, sup_samples=k) for k in (8, 16)]
         self._agree(monkeypatch, [
             (n, x, y, budget) for budget in budgets for n in (2, 3) for x, y in pairs
         ])
+
+    def test_sup_limit_matches_the_plain_route_at_every_level(self, monkeypatch):
+        # Supremum at a principal limit beta, up to w^(w+1): _eval answers
+        # level 1 by addition and samples at levels 2 and up, where only
+        # levels 2 and 3 may take the chain.
+        value = lambda text: eval_expr(parse(text))
+        pairs = [("w", "w"), ("w+1", "w^2"), ("2", "w^3"), ("w^2+3", "w^(w+1)")]
+        budgets = [EvalBudget(max_depth=24, sup_samples=k) for k in (8, 16)]
+        self._agree(monkeypatch, [
+            (n, value(a), value(b), budget)
+            for budget in budgets for n in (1, 2, 3, 4) for a, b in pairs
+        ])
+        assert synth(1, W, W, B) == add(W, W)
+        assert synth(1, W, W2, B) == W2
 
     def test_matches_the_plain_route_under_tiny_bit_caps(self, monkeypatch):
         # The level-3 fold's closed power refuses a non-principal
