@@ -13,10 +13,12 @@ is found by bisecting alpha at the largest beta below delta, then beta
 at that alpha (beta is scanned when alpha <= 1, where the ladder is not
 monotone in beta).  In a report, each alpha search starts at the
 witness alpha of the last refutation, since neighbouring candidates
-often share it.  A candidate whose search meets a refusal of the
-budget is settled again from the start by that scan, which skips the
-refused pairs; a verdict's pairs_skipped counts the distinct pairs the
-scan left unsettled, so it is 0 whenever the search decides.
+often share it.  A probe the budget refuses is retried once, after
+alpha's table is warmed at the additive principals below its beta.  A
+candidate whose retry is refused too is settled again from the start by
+that scan, which skips the refused pairs; a verdict's pairs_skipped
+counts the distinct pairs the scan left unsettled, so it is 0 whenever
+the search decides.
 
 The reports pair the confirmed infinite mains, in order, against the
 ladder values synth(i+1, w, w^rank), rank = 0, 1, 2, ...  Ranks are
@@ -28,13 +30,16 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from functools import lru_cache
 from operator import attrgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .budget import DEFAULT_BUDGET, EvalBudget
 from .errors import BudgetExceeded, NotRepresentable, OrdinalDomainError
-from .ordinal import OMEGA, ONE, ZERO, Ordinal, check_natural, from_natural, omega_power
+from .ordinal import (
+    OMEGA, ONE, ZERO, Ordinal, check_natural, from_natural, is_additive_principal, omega_power,
+)
 from .synthesis import Memo, synth
 
 __all__ = [
@@ -174,16 +179,28 @@ def _search(
     The ladder grows weakly in both arguments, so escaping at beta_max is
     monotone in alpha, and at alpha >= 2 escaping is monotone in beta.
     For alpha <= 1 beta is scanned: 0^beta is not monotone at level 3
-    and S(n, 0, beta) alternates from level 4.  A refusal propagates.
+    and S(n, 0, beta) alternates from level 4.  A refused probe is
+    retried once on a warmed table; a second refusal propagates.
 
     hint, an alpha in below, starts the alpha search: if it escapes at
     beta_max and the alpha before it does not, it is the answer, and
     otherwise only the side of it that holds the first escape is bisected.
+    Before bisecting a side that holds the largest alpha, that alpha is
+    probed, which settles a main candidate.
     """
     values = {}
 
     def escapes(alpha: Ordinal, beta: Ordinal) -> bool:
-        escaped, values[alpha, beta] = _escape(i, delta, alpha, beta, budget, memo)
+        try:
+            escaped, values[alpha, beta] = _escape(i, delta, alpha, beta, budget, memo)
+        except BudgetExceeded:
+            # Warm alpha's table at the principals below beta, one synth
+            # call each, so the retry finds their suprema in the memo.
+            for y in below[: bisect_left(below, beta)]:
+                if is_additive_principal(y):
+                    with suppress(BudgetExceeded, NotRepresentable):
+                        synth(i, alpha, y, budget, memo=memo)
+            escaped, values[alpha, beta] = _escape(i, delta, alpha, beta, budget, memo)
         return escaped
 
     def at_max(x: Ordinal) -> bool:
@@ -200,6 +217,12 @@ def _search(
             lo = hi = h
         else:
             hi = h - 1
+    if lo < hi == len(below):
+        # Escaping at beta_max is monotone in alpha, so the top alpha
+        # settles a main candidate in one probe.
+        if not at_max(below[-1]):
+            return MainVerdict(delta, True, None, None, 0)
+        hi -= 1
     a = bisect_left(below, True, lo, hi, key=at_max)
     if a == len(below):
         return MainVerdict(delta, True, None, None, 0)

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import json
+import random
 import weakref
 
 import pytest
@@ -13,7 +14,7 @@ from support import W, nat
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget
 from transfinite import mains, ordinal
-from transfinite.errors import BudgetExceeded, OrdinalDomainError
+from transfinite.errors import BudgetExceeded, NotRepresentable, OrdinalDomainError
 from transfinite.mains import (
     DEFAULT_LATTICE_SPEC,
     MainVerdict,
@@ -324,6 +325,70 @@ class TestSearch:
         assert verdict == mains._scan(1, delta, below, B, {})
         assert verdict.main and verdict.pairs_skipped == 1
 
+    @pytest.mark.parametrize("i, delta", [
+        (2, pow_(W, pow_(W, nat(2), B), B)),
+        (2, pow_(W, pow_(W, nat(3), B), B)),
+        (1, pow_(W, nat(3), B)),
+    ])
+    def test_a_main_candidate_takes_one_probe(self, monkeypatch, i, delta):
+        # Escaping at beta_max is monotone in alpha, so the top alpha's
+        # probe settles a main candidate without bisecting.
+        calls = []
+
+        def counting(i, alpha, beta, budget, memo):
+            calls.append((alpha, beta))
+            return synth(i, alpha, beta, budget, memo=memo)
+
+        monkeypatch.setattr(mains, "synth", counting)
+        assert is_main_number(i, delta).main
+        assert len(calls) == 1
+
+    def test_the_16_sample_report_never_scans(self, monkeypatch):
+        # Its probes that the budget refuses are settled in the search,
+        # after their tables are warmed, so no candidate falls back.
+        def scan(*args):
+            raise AssertionError(f"fell back to the scan at {args[1]}")
+
+        monkeypatch.setattr(mains, "_scan", scan)
+        report = enumerate_main_numbers(
+            2, pow_(W, pow_(W, nat(3), B), B), budget=EvalBudget(sup_samples=16))
+        assert report.pairs_skipped == 0
+
+    def test_a_warm_memo_never_changes_a_value(self):
+        # The search warms a refused probe's table and retries it, which is
+        # sound only if a warmer memo changes no answer.  Seeded runs of
+        # synth calls at levels 2 and 3, each run on one shared memo, agree
+        # with fresh calls wherever both answer: the two may differ only in
+        # which calls the budget refuses.
+        budget = EvalBudget(16, 16384, 8)
+        lattice = candidate_lattice(bound=pow_(W, pow_(W, nat(3), B), B))
+
+        def outcome(n, alpha, beta, memo):
+            try:
+                return synth(n, alpha, beta, budget, memo=memo)
+            except NotRepresentable:
+                return "NotRepresentable"
+            except BudgetExceeded:
+                return None
+
+        answered, warmed, changed = 0, 0, []
+        for seed in range(6):
+            rng = random.Random(seed)
+            memo = {}
+            alphas = rng.sample(lattice, 2)
+            for _ in range(30):
+                call = rng.choice((2, 3)), rng.choice(alphas), rng.choice(lattice)
+                warm, fresh = outcome(*call, memo), outcome(*call, {})
+                if warm is not None and fresh is not None:
+                    answered += 1
+                    if warm != fresh:
+                        changed.append((seed, call, warm, fresh))
+                warmed += warm is not None and fresh is None
+        assert not changed, changed[:3]
+        # The runs answer most calls, and warming turns some refusals
+        # into answers.
+        assert answered > 150 and warmed > 0
+
 
 class TestReportBytes:
     @pytest.mark.parametrize("i, bound, sha", [
@@ -360,8 +425,8 @@ def test_shared_memo_holds_one_table_per_level_and_alpha(monkeypatch):
     enumerate_main_numbers(2, pow_(W, pow_(W, nat(3), B), B))
     memo = memos[0]
     assert all(m is memo for m in memos)
-    assert len(memo) == 25
-    assert sum(map(len, memo.values())) == 13096
+    assert len(memo) == 18
+    assert sum(map(len, memo.values())) == 7247
     for key, table in memo.items():
         level, alpha = key
         assert type(level) is int and level in (2, 3) and isinstance(alpha, Ordinal)
