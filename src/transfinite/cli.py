@@ -150,8 +150,6 @@ def _cmd_table(args, budget: EvalBudget) -> int:
             return str({"H": hyper, "L": left_hyper}[args.op](args.index, a, b, budget))
         except BudgetExceeded:
             return "!"
-        except NotRepresentable:
-            return "*"
 
     rows = [["a\\b"] + [str(b) for b in range(args.cols + 1)]]
     for a in range(args.rows + 1):

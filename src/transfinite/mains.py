@@ -10,15 +10,18 @@ Each candidate is settled by a monotone search.  The ladder grows weakly
 in both arguments, so the least escaping pair in (alpha, beta) order --
 the first pair a scan of every alpha, then every beta, would return --
 is found by bisecting alpha at the largest beta below delta, then beta
-at that alpha (beta is scanned when alpha <= 1, where the ladder is not
-monotone in beta).  In a report, each alpha search starts at the
-witness alpha of the last refutation, since neighbouring candidates
-often share it.  A probe the budget refuses is retried once, after
-alpha's table is warmed at the additive principals below its beta.  A
-candidate whose retry is refused too is settled again from the start by
-that scan, which skips the refused pairs; a verdict's pairs_skipped
-counts the distinct pairs the scan left unsettled, so it is 0 whenever
-the search decides.
+at that alpha.  One bisection of beta serves every alpha: escaping is
+monotone in beta at alpha >= 2 at every level, and at alpha <= 1 at
+levels 1 and 2.  From level 3 on, every value at alpha <= 1 is at most
+1, so such a pair escapes only at delta = 1, where 0 is the only beta.
+
+In a report, each alpha search starts at the witness alpha of the last
+refutation, since neighbouring candidates often share it.  A probe the
+budget refuses is retried once, after alpha's table is warmed at the
+additive principals below its beta.  A candidate whose retry is refused
+too is settled again from the start by that scan, which skips the
+refused pairs; a verdict's pairs_skipped counts the distinct pairs the
+scan left unsettled, so it is 0 whenever the search decides.
 
 The reports pair the confirmed infinite mains, in order, against the
 ladder values synth(i+1, w, w^rank), rank = 0, 1, 2, ...  Ranks are
@@ -38,7 +41,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .budget import DEFAULT_BUDGET, EvalBudget
 from .errors import BudgetExceeded, NotRepresentable, OrdinalDomainError
 from .ordinal import (
-    OMEGA, ONE, ZERO, Ordinal, check_natural, from_natural, is_additive_principal, omega_power,
+    OMEGA, ZERO, Ordinal, check_natural, from_natural, is_additive_principal, omega_power,
 )
 from .synthesis import Memo, synth
 
@@ -177,9 +180,8 @@ def _search(
     """The least escaping pair in (alpha, beta) order, found by bisection.
 
     The ladder grows weakly in both arguments, so escaping at beta_max is
-    monotone in alpha, and at alpha >= 2 escaping is monotone in beta.
-    For alpha <= 1 beta is scanned: 0^beta is not monotone at level 3
-    and S(n, 0, beta) alternates from level 4.  A refused probe is
+    monotone in alpha, and at every alpha escaping is monotone in beta
+    (the module docstring says why for alpha <= 1).  A refused probe is
     retried once on a warmed table; a second refusal propagates.
 
     hint, an alpha in below, starts the alpha search: if it escapes at
@@ -227,11 +229,8 @@ def _search(
     if a == len(below):
         return MainVerdict(delta, True, None, None, 0)
     alpha = below[a]
-    if alpha > ONE:
-        # (alpha, beta_max) escapes, so the search stops below it.
-        b = bisect_left(below, True, hi=len(below) - 1, key=lambda y: escapes(alpha, y))
-    else:
-        b = next(k for k, y in enumerate(below) if escapes(alpha, y))
+    # (alpha, beta_max) escapes, so the search stops below it.
+    b = bisect_left(below, True, hi=len(below) - 1, key=lambda y: escapes(alpha, y))
     beta = below[b]
     return MainVerdict(delta, False, (alpha, beta), values[alpha, beta], 0)
 
@@ -259,10 +258,8 @@ def _scan(
 
     for alpha in below:
         # Probe at the largest beta first and scan beta only if that
-        # escapes or is refused.  Values grow weakly in beta for alpha >= 2,
-        # and for alpha <= 1 at levels 1 and 2.  For alpha <= 1 from level 3
-        # on every value is <= 1, which reaches delta only at delta = 1,
-        # where 0 is the only beta.
+        # escapes or is refused: escaping is monotone in beta at every
+        # alpha (see the module docstring).
         if escape(alpha, below[-1])[0] is False:
             continue
         for beta in below:

@@ -76,7 +76,7 @@ def reference_eval(
     """Evaluate x <op> y by unfolding the defining recursion on y."""
     base, combine, closed = _op(op)
     meter = Meter(budget)
-    memo = {}
+    memo = meter.memo
 
     def unfold(y: Ordinal, depth: int) -> Ordinal:
         meter.step(depth)

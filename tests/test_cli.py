@@ -223,6 +223,17 @@ class TestTable:
         assert code == 0
         assert out.splitlines()[-1].split() == ["2", "1", "2", "4", "16"]
 
+    def test_refused_cell_is_marked(self, capsys):
+        # H(4,3,4) is past the bit cap: its cell reads "!" and the command
+        # still exits 0.
+        code, out, _ = run(capsys, ["table", "--op", "H", "--index", "4",
+                                    "--rows", "3", "--cols", "4"])
+        assert code == 0
+        cells = [line.split()[1:] for line in out.splitlines()[1:]]
+        marked = [(a, b) for a, row in enumerate(cells) for b, cell in enumerate(row)
+                  if cell == "!"]
+        assert marked == [(3, 4)]
+
     def test_leftward_collapse_row(self, capsys):
         _, out, _ = run(capsys, ["table", "--op", "L", "--index", "4",
                                  "--rows", "2", "--cols", "3"])

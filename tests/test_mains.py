@@ -1,5 +1,6 @@
 """Closure scanning: candidate lattices, verdicts with witnesses, and the
 deterministic report JSON."""
+import contextlib
 import gc
 import hashlib
 import itertools
@@ -226,6 +227,11 @@ class TestEnumerate:
         with pytest.raises(OrdinalDomainError):
             enumerate_main_numbers(0, W, budget=B)
 
+    @pytest.mark.parametrize("bound", [ZERO, 5], ids=["zero", "not-an-ordinal"])
+    def test_bound_must_be_a_positive_ordinal(self, bound):
+        with pytest.raises(OrdinalDomainError, match="bound must be an Ordinal > 0"):
+            enumerate_main_numbers(1, bound, budget=B)
+
 
 class TestReportJson:
     def test_key_order_and_shape(self):
@@ -307,6 +313,26 @@ class TestSearch:
 
         for searched, scanned in self._routes(i, bound, hints):
             assert searched == scanned
+
+    def test_one_beta_bisection_serves_alpha_0_and_1(self):
+        # Why _search bisects beta at alpha <= 1 too: on the default
+        # lattice, levels 1 and 2 grow weakly in beta there, and from level
+        # 3 on every answered value is at most 1, so such a pair escapes
+        # only at delta = 1.  No call is NotRepresentable.  One memo per
+        # (level, alpha); the default 8 samples give the same verdicts but
+        # take some fifty times as long as 4.
+        budget = EvalBudget(sup_samples=4)
+        lattice = candidate_lattice()
+        for level, alpha in itertools.product(range(1, 6), (ZERO, ONE)):
+            memo, values = {}, []
+            for beta in lattice:
+                with contextlib.suppress(BudgetExceeded):
+                    values.append(synth(level, alpha, beta, budget, memo=memo))
+            assert values, (level, alpha)
+            if level <= 2:
+                assert values == sorted(values), (level, alpha)
+            else:
+                assert max(values) <= ONE, (level, alpha)
 
     def test_refusal_falls_back_to_the_scan(self, monkeypatch):
         # w*2 is refuted by (w, w); refusing that pair leaves the scan,

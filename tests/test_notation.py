@@ -200,6 +200,10 @@ class TestEvaluation:
         assert eval_expr(parse("S(4,2,w+1)")) == pow_(W, nat(2), B)
         assert eval_expr(parse("N(2,3,w*2)")) == eval_expr(parse("N(2,3,w)"))
 
+    def test_non_node_is_a_type_error(self):
+        with pytest.raises(TypeError, match="not an expression node: 3"):
+            eval_expr(3)
+
     def test_unrepresentable_propagates(self):
         with pytest.raises(NotRepresentable):
             eval_expr(parse("S(4,w,w)"))
