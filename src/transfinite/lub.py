@@ -209,7 +209,7 @@ def sample_and_infer(
     it gives no value, the refusal that cut it is the answer, as its few
     samples may show only the early height climb or no trend yet.
     """
-    samples, heights = [], []  # heights kept for the in-flight tower check
+    samples = []
     cut = None
     for g in _points(lam, meter.budget.sup_samples):
         work = meter.work
@@ -222,8 +222,8 @@ def sample_and_infer(
             cut = err
             break
         samples.append(x)
-        heights.append(x._height)
-        if len(heights) >= 6 and heights[-4] < heights[-3] < heights[-2] < heights[-1]:
+        if len(samples) >= 6 and (samples[-4]._height < samples[-3]._height
+                                  < samples[-2]._height < x._height):
             classify_lub(samples)  # its tower test fires: raises NotRepresentable
     try:
         return infer_lub(samples)

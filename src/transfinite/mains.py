@@ -21,7 +21,9 @@ budget refuses is retried once, after alpha's table is warmed at the
 additive principals below its beta.  A candidate whose retry is refused
 too is settled again from the start by that scan, which skips the
 refused pairs; a verdict's pairs_skipped counts the distinct pairs the
-scan left unsettled, so it is 0 whenever the search decides.
+scan left unsettled, so it is 0 whenever the search decides.  A
+refutation's value is the one synth left in the shared memo, at
+memo[i, alpha][beta]; it is None when the pair is not representable.
 
 The reports pair the confirmed infinite mains, in order, against the
 ladder values synth(i+1, w, w^rank), rank = 0, 1, 2, ...  Ranks are
@@ -62,9 +64,9 @@ LATTICE_CAP = 200_000
 
 
 def candidate_lattice(
-    depth: int = 3,
-    coeff: int = 5,
-    terms: int = 1,
+    depth: int = DEFAULT_LATTICE_SPEC[0],
+    coeff: int = DEFAULT_LATTICE_SPEC[1],
+    terms: int = DEFAULT_LATTICE_SPEC[2],
     bound: Optional[Ordinal] = None,
 ) -> List[Ordinal]:
     """All CNF ordinals within the given structural caps, sorted ascending.
@@ -107,10 +109,13 @@ def _lattice(depth: int, coeff: int, terms: int, cap: int) -> Tuple[Ordinal, ...
     return tuple(sorted(pool, key=attrgetter("terms")))
 
 
+Pair = Tuple[Ordinal, Ordinal]
+
+
 class MainVerdict(NamedTuple):
     candidate: Ordinal
     main: bool                              # True = main-on-sample only
-    witness: Optional[Tuple[Ordinal, Ordinal]]
+    witness: Optional[Pair]
     value: Optional[Ordinal]                # None with a witness: >= epsilon_0
     pairs_skipped: int                      # distinct pairs the scan left unsettled
 
@@ -146,43 +151,40 @@ def _classify(
     hint: Optional[Ordinal] = None,
 ) -> MainVerdict:
     below = entries[: bisect_left(entries, delta)]
+
+    def escapes(alpha: Ordinal, beta: Ordinal) -> bool:
+        # Not representable means >= epsilon_0 > delta; a refusal propagates.
+        try:
+            return synth(i, alpha, beta, budget, memo=memo) >= delta
+        except NotRepresentable:
+            return True
+
+    def warm(alpha: Ordinal, beta: Ordinal) -> None:
+        # One synth call per principal below beta, so a retry finds their suprema.
+        for y in below[: bisect_left(below, beta)]:
+            if is_additive_principal(y):
+                with suppress(BudgetExceeded, NotRepresentable):
+                    synth(i, alpha, y, budget, memo=memo)
+
+    refused = set()
     try:
-        return _search(i, delta, below, budget, memo, hint)
+        pair = _search(escapes, warm, below, hint)
     except BudgetExceeded:
-        return _scan(i, delta, below, budget, memo)
+        pair = _scan(escapes, below, refused)
+    if pair is None:
+        return MainVerdict(delta, True, None, None, len(refused))
+    # synth left the witness's value in the memo, unless not representable.
+    return MainVerdict(delta, False, pair, memo[i, pair[0]].get(pair[1]), len(refused))
 
 
-def _escape(
-    i: int, delta: Ordinal, alpha: Ordinal, beta: Ordinal,
-    budget: Optional[EvalBudget], memo: Memo,
-) -> Tuple[bool, Optional[Ordinal]]:
-    """Whether the pair (alpha, beta) escapes delta, and its value.
-
-    A pair escapes when its value is >= delta or not representable; a
-    value that is not representable is None, and certainly >= epsilon_0
-    > delta.  A refusal of the budget propagates.
-    """
-    try:
-        value = synth(i, alpha, beta, budget, memo=memo)
-    except NotRepresentable:
-        return True, None
-    return value >= delta, value
-
-
-def _search(
-    i: int,
-    delta: Ordinal,
-    below: Sequence[Ordinal],
-    budget: Optional[EvalBudget],
-    memo: Memo,
-    hint: Optional[Ordinal],
-) -> MainVerdict:
-    """The least escaping pair in (alpha, beta) order, found by bisection.
+def _search(escapes, warm, below: Sequence[Ordinal], hint) -> Optional[Pair]:
+    """The least pair in (alpha, beta) order that escapes(alpha, beta),
+    found by bisection, or None.
 
     The ladder grows weakly in both arguments, so escaping at beta_max is
     monotone in alpha, and at every alpha escaping is monotone in beta
     (the module docstring says why for alpha <= 1).  A refused probe is
-    retried once on a warmed table; a second refusal propagates.
+    retried once after warm(alpha, beta); a second refusal propagates.
 
     hint, an alpha in below, starts the alpha search: if it escapes at
     beta_max and the alpha before it does not, it is the answer, and
@@ -190,23 +192,15 @@ def _search(
     Before bisecting a side that holds the largest alpha, that alpha is
     probed, which settles a main candidate.
     """
-    values = {}
-
-    def escapes(alpha: Ordinal, beta: Ordinal) -> bool:
+    def settle(alpha: Ordinal, beta: Ordinal) -> bool:
         try:
-            escaped, values[alpha, beta] = _escape(i, delta, alpha, beta, budget, memo)
+            return escapes(alpha, beta)
         except BudgetExceeded:
-            # Warm alpha's table at the principals below beta, one synth
-            # call each, so the retry finds their suprema in the memo.
-            for y in below[: bisect_left(below, beta)]:
-                if is_additive_principal(y):
-                    with suppress(BudgetExceeded, NotRepresentable):
-                        synth(i, alpha, y, budget, memo=memo)
-            escaped, values[alpha, beta] = _escape(i, delta, alpha, beta, budget, memo)
-        return escaped
+            warm(alpha, beta)
+            return escapes(alpha, beta)
 
     def at_max(x: Ordinal) -> bool:
-        return escapes(x, below[-1])
+        return settle(x, below[-1])
 
     # bisect_left over the keys False... True finds the first escape in
     # [lo, hi), which a hint narrows to one side of itself.
@@ -223,50 +217,41 @@ def _search(
         # Escaping at beta_max is monotone in alpha, so the top alpha
         # settles a main candidate in one probe.
         if not at_max(below[-1]):
-            return MainVerdict(delta, True, None, None, 0)
+            return None
         hi -= 1
     a = bisect_left(below, True, lo, hi, key=at_max)
     if a == len(below):
-        return MainVerdict(delta, True, None, None, 0)
+        return None
     alpha = below[a]
     # (alpha, beta_max) escapes, so the search stops below it.
-    b = bisect_left(below, True, hi=len(below) - 1, key=lambda y: escapes(alpha, y))
-    beta = below[b]
-    return MainVerdict(delta, False, (alpha, beta), values[alpha, beta], 0)
+    b = bisect_left(below, True, hi=len(below) - 1, key=lambda y: settle(alpha, y))
+    return alpha, below[b]
 
 
-def _scan(
-    i: int,
-    delta: Ordinal,
-    below: Sequence[Ordinal],
-    budget: Optional[EvalBudget],
-    memo: Memo,
-) -> MainVerdict:
-    """Every alpha in order, then beta in order.  pairs_skipped counts the
-    distinct pairs the budget refused that no later attempt here settled."""
-    refused = set()
-
-    def escape(alpha: Ordinal, beta: Ordinal) -> Tuple[Optional[bool], Optional[Ordinal]]:
-        # _escape's answer, or (None, None) when the budget refuses the pair.
+def _scan(escapes, below: Sequence[Ordinal], refused: set) -> Optional[Pair]:
+    """The least escaping pair by every alpha in order, then beta in order,
+    or None.  refused collects the distinct pairs the budget refused that
+    no later attempt here settled."""
+    def escape(alpha: Ordinal, beta: Ordinal) -> Optional[bool]:
+        # escapes(alpha, beta), or None when the budget refuses the pair.
         try:
-            result = _escape(i, delta, alpha, beta, budget, memo)
+            escaped = escapes(alpha, beta)
         except BudgetExceeded:
             refused.add((alpha, beta))
-            return None, None
+            return None
         refused.discard((alpha, beta))
-        return result
+        return escaped
 
     for alpha in below:
         # Probe at the largest beta first and scan beta only if that
         # escapes or is refused: escaping is monotone in beta at every
         # alpha (see the module docstring).
-        if escape(alpha, below[-1])[0] is False:
+        if escape(alpha, below[-1]) is False:
             continue
         for beta in below:
-            escaped, value = escape(alpha, beta)
-            if escaped:
-                return MainVerdict(delta, False, (alpha, beta), value, len(refused))
-    return MainVerdict(delta, True, None, None, len(refused))
+            if escape(alpha, beta):
+                return alpha, beta
+    return None
 
 
 class MainNumberReport(NamedTuple):

@@ -9,6 +9,8 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from support import W, nat
 
@@ -288,13 +290,23 @@ class TestSearch:
     ]
 
     @staticmethod
-    def _routes(i, bound, hints=lambda below: [None]):
+    def _scanned(i, delta, entries, memo):
+        # The scan's verdict: _classify with a search that refuses at once.
+        def refuse(*args):
+            raise BudgetExceeded("refused for the test")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mains, "_search", refuse)
+            return mains._classify(i, delta, entries, B, memo)
+
+    @classmethod
+    def _routes(cls, i, bound, hints=lambda below: [None]):
         # Each candidate's search, once per hint that hints(below) gives,
         # against its scan; each route shares one memo over the candidates.
         entries = candidate_lattice(bound=bound)
         searched, scanned = {}, {}
         for k, delta in enumerate(entries[1:], 1):
-            b = mains._scan(i, delta, entries[:k], B, scanned)
+            b = cls._scanned(i, delta, entries, scanned)
             for hint in hints(entries[:k]):
                 a = mains._classify(i, delta, entries, B, searched, hint)
                 yield a[:4], b[:4]
@@ -313,6 +325,67 @@ class TestSearch:
 
         for searched, scanned in self._routes(i, bound, hints):
             assert searched == scanned
+
+    @given(st.data())
+    def test_the_search_finds_the_scans_pair_on_any_monotone_table(self, data):
+        # Synthetic escape tables, with no synth call: over n alphas,
+        # (a, b) escapes iff b >= t[a] for a non-increasing threshold t,
+        # so escaping grows weakly in both arguments.  The first `never`
+        # alphas never escape (t[a] = n), so that one draw in n + 1 or so
+        # is a main candidate.
+        n = data.draw(st.integers(1, 8), label="n")
+        never = data.draw(st.integers(0, n), label="never")
+        rest = data.draw(st.lists(st.integers(0, n - 1), min_size=n - never, max_size=n - never))
+        t = [n] * never + sorted(rest, reverse=True)
+        below = list(range(n))
+        probes = []
+
+        def escapes(a, b):
+            probes.append((a, b))
+            return b >= t[a]
+
+        def warm(a, b):
+            raise AssertionError("nothing was refused")
+
+        want = mains._scan(escapes, below, set())
+        for hint in [None, *below]:
+            assert mains._search(escapes, warm, below, hint) == want, hint
+        probes.clear()
+        mains._search(escapes, warm, below, None)
+        assert want is not None or len(probes) == 1
+
+        # A pair the budget refuses until warm has run for it leaves the
+        # answer unchanged.
+        refusing = data.draw(st.tuples(st.sampled_from(below), st.sampled_from(below)))
+        warmed = set()
+
+        def refuses_until_warmed(a, b):
+            if (a, b) == refusing and (a, b) not in warmed:
+                raise BudgetExceeded("refused for the test")
+            return b >= t[a]
+
+        for hint in [None, *below]:
+            warmed.clear()
+            found = mains._search(refuses_until_warmed, lambda a, b: warmed.add((a, b)), below, hint)
+            assert found == want, hint
+
+    @pytest.mark.parametrize("i, bound", BOUNDS)
+    def test_a_refutations_value_is_what_a_fresh_synth_gives(self, i, bound):
+        # The value is read from the report's shared memo.  Where a fresh
+        # call answers it is that answer, and it is None exactly where the
+        # fresh call is NotRepresentable.  A pair the fresh call refuses is
+        # skipped: a warm memo may answer where a fresh one refuses.
+        checked = 0
+        for verdict in enumerate_main_numbers(i, bound, budget=B).refuted:
+            try:
+                fresh = synth(i, *verdict.witness, B)
+            except NotRepresentable:
+                fresh = None
+            except BudgetExceeded:
+                continue
+            assert verdict.value == fresh, verdict
+            checked += 1
+        assert checked
 
     def test_one_beta_bisection_serves_alpha_0_and_1(self):
         # Why _search bisects beta at alpha <= 1 too: on the default
@@ -339,7 +412,6 @@ class TestSearch:
         # and so the search, unable to refute it.
         delta = mul(W, nat(2))
         entries = candidate_lattice()
-        below = [x for x in entries if x < delta]
 
         def refusing(i, alpha, beta, budget, memo):
             if (alpha, beta) == (W, W):
@@ -348,7 +420,7 @@ class TestSearch:
 
         monkeypatch.setattr(mains, "synth", refusing)
         verdict = mains._classify(1, delta, entries, B, {})
-        assert verdict == mains._scan(1, delta, below, B, {})
+        assert verdict == self._scanned(1, delta, entries, {})
         assert verdict.main and verdict.pairs_skipped == 1
 
     @pytest.mark.parametrize("i, delta", [
