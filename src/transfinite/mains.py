@@ -16,14 +16,14 @@ levels 1 and 2.  From level 3 on, every value at alpha <= 1 is at most
 1, so such a pair escapes only at delta = 1, where 0 is the only beta.
 
 In a report, each alpha search starts at the witness alpha of the last
-refutation, since neighbouring candidates often share it.  A probe the
-budget refuses is retried once, after alpha's table is warmed at the
-additive principals below its beta.  A candidate whose retry is refused
-too is settled again from the start by that scan, which skips the
-refused pairs; a verdict's pairs_skipped counts the distinct pairs the
-scan left unsettled, so it is 0 whenever the search decides.  A
-refutation's value is the one synth left in the shared memo, at
-memo[i, alpha][beta]; it is None when the pair is not representable.
+refutation, since neighbouring candidates often share it.  A refused
+synth call keeps the samples it finished in the shared memo, so a probe
+is retried while each refusal grows the memo, which it does only finitely
+often.  A probe refused without growth sends its candidate to a scan of
+every pair, which skips the refused pairs; a verdict's pairs_skipped
+counts the distinct pairs the scan left unsettled, so it is 0 whenever
+the search decides.  A refutation's value is the one synth left in the
+memo, at memo[i, alpha][beta]; it is None when not representable.
 
 The reports pair the confirmed infinite mains, in order, against the
 ladder values synth(i+1, w, w^rank), rank = 0, 1, 2, ...  Ranks are
@@ -35,16 +35,13 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from contextlib import suppress
 from functools import lru_cache
 from operator import attrgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .budget import DEFAULT_BUDGET, EvalBudget
 from .errors import BudgetExceeded, NotRepresentable, OrdinalDomainError
-from .ordinal import (
-    OMEGA, ZERO, Ordinal, check_natural, from_natural, is_additive_principal, omega_power,
-)
+from .ordinal import OMEGA, ZERO, Ordinal, check_natural, from_natural, omega_power
 from .synthesis import Memo, synth
 
 __all__ = [
@@ -159,16 +156,25 @@ def _classify(
         except NotRepresentable:
             return True
 
-    def warm(alpha: Ordinal, beta: Ordinal) -> None:
-        # One synth call per principal below beta, so a retry finds their suprema.
-        for y in below[: bisect_left(below, beta)]:
-            if is_additive_principal(y):
-                with suppress(BudgetExceeded, NotRepresentable):
-                    synth(i, alpha, y, budget, memo=memo)
+    def resumes(alpha: Ordinal, beta: Ordinal) -> bool:
+        # A refused synth keeps the samples it finished in the memo, so a
+        # retry resumes it.  Retry while each refusal grows the memo.  That
+        # ends: each retry adds an entry, and one probe's sub-evaluations
+        # are finite, a well-founded recursion over at most sup_samples + 2
+        # points per supremum.
+        size = None
+        while True:
+            try:
+                return escapes(alpha, beta)
+            except BudgetExceeded:
+                grown = sum(map(len, memo.values()))
+                if grown == size:
+                    raise
+                size = grown
 
     refused = set()
     try:
-        pair = _search(escapes, warm, below, hint)
+        pair = _search(resumes, below, hint)
     except BudgetExceeded:
         pair = _scan(escapes, below, refused)
     if pair is None:
@@ -177,14 +183,14 @@ def _classify(
     return MainVerdict(delta, False, pair, memo[i, pair[0]].get(pair[1]), len(refused))
 
 
-def _search(escapes, warm, below: Sequence[Ordinal], hint) -> Optional[Pair]:
+def _search(escapes, below: Sequence[Ordinal], hint) -> Optional[Pair]:
     """The least pair in (alpha, beta) order that escapes(alpha, beta),
     found by bisection, or None.
 
     The ladder grows weakly in both arguments, so escaping at beta_max is
     monotone in alpha, and at every alpha escaping is monotone in beta
-    (the module docstring says why for alpha <= 1).  A refused probe is
-    retried once after warm(alpha, beta); a second refusal propagates.
+    (the module docstring says why for alpha <= 1).  Refusals propagate:
+    _classify retries a refused probe only while it grows the memo, so finitely often.
 
     hint, an alpha in below, starts the alpha search: if it escapes at
     beta_max and the alpha before it does not, it is the answer, and
@@ -192,15 +198,8 @@ def _search(escapes, warm, below: Sequence[Ordinal], hint) -> Optional[Pair]:
     Before bisecting a side that holds the largest alpha, that alpha is
     probed, which settles a main candidate.
     """
-    def settle(alpha: Ordinal, beta: Ordinal) -> bool:
-        try:
-            return escapes(alpha, beta)
-        except BudgetExceeded:
-            warm(alpha, beta)
-            return escapes(alpha, beta)
-
     def at_max(x: Ordinal) -> bool:
-        return settle(x, below[-1])
+        return escapes(x, below[-1])
 
     # bisect_left over the keys False... True finds the first escape in
     # [lo, hi), which a hint narrows to one side of itself.
@@ -224,7 +223,7 @@ def _search(escapes, warm, below: Sequence[Ordinal], hint) -> Optional[Pair]:
         return None
     alpha = below[a]
     # (alpha, beta_max) escapes, so the search stops below it.
-    b = bisect_left(below, True, hi=len(below) - 1, key=lambda y: settle(alpha, y))
+    b = bisect_left(below, True, hi=len(below) - 1, key=lambda y: escapes(alpha, y))
     return alpha, below[b]
 
 
@@ -336,7 +335,6 @@ def enumerate_main_numbers(
     confirmed = [v.candidate for v in verdicts if v.main]
     confirmed_infinite = [x for x in confirmed if not x.is_natural]
     rows: List[ConjectureRow] = []
-    all_match = True
     for rank in range(len(confirmed_infinite) + 1):
         try:
             expected = synth(i + 1, OMEGA, omega_power(from_natural(rank)), budget, memo=memo)
@@ -345,11 +343,8 @@ def enumerate_main_numbers(
             expected = None
             expected_text = type(exc).__name__
         observed = confirmed_infinite[rank] if rank < len(confirmed_infinite) else None
-        if observed is None:
-            match: Optional[bool] = None
-        else:
-            match = expected is not None and expected == observed
-            all_match = all_match and match
+        # Values are interned, and None never equals an Ordinal.
+        match = None if observed is None else expected == observed
         rows.append(ConjectureRow(rank, expected_text, observed, match))
 
     return MainNumberReport(
@@ -362,6 +357,6 @@ def enumerate_main_numbers(
         confirmed_infinite=tuple(confirmed_infinite),
         refuted=tuple(v for v in verdicts if not v.main),
         conjectured_match=tuple(rows),
-        all_match=all_match,
+        all_match=all(row.match is not False for row in rows),
         pairs_skipped=sum(v.pairs_skipped for v in verdicts),
     )

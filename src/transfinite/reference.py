@@ -61,9 +61,12 @@ _OPS = {
 _UNFOLD_DEPTH = 2
 
 
-def _op(op: str):
+def _op(op: str, x: Ordinal, y: Ordinal):
     if op not in _OPS:
         raise OrdinalDomainError(f"unknown operation {op!r}, expected one of {tuple(_OPS)}")
+    for operand in (x, y):
+        if not isinstance(operand, Ordinal):
+            raise OrdinalDomainError(f"expected an Ordinal, got {operand!r}")
     return _OPS[op]
 
 
@@ -74,7 +77,7 @@ def reference_eval(
     budget: Optional[EvalBudget] = None,
 ) -> Ordinal:
     """Evaluate x <op> y by unfolding the defining recursion on y."""
-    base, combine, closed = _op(op)
+    base, combine, closed = _op(op, x, y)
     meter = Meter(budget)
     memo = meter.memo
 
@@ -110,4 +113,4 @@ def reference_eval(
 
 def reference_check(op: str, x: Ordinal, y: Ordinal, budget=None) -> bool:
     """True when the closed form and the recursion agree on (x, y)."""
-    return _op(op)[2](x, y, budget) == reference_eval(op, x, y, budget)
+    return _op(op, x, y)[2](x, y, budget) == reference_eval(op, x, y, budget)

@@ -161,6 +161,13 @@ class TestReferenceRoute:
             with pytest.raises(OrdinalDomainError):
                 route("foo", W, W)
 
+    @pytest.mark.parametrize("route", [reference_eval, reference_check])
+    @pytest.mark.parametrize("x, y", [(3, W), (W, 2), ("w", W), (W, "w")])
+    def test_an_operand_that_is_not_an_ordinal_is_a_domain_error(self, route, x, y):
+        # As in synth: a domain error, never an AttributeError from inside.
+        with pytest.raises(OrdinalDomainError, match="expected an Ordinal"):
+            route("add", x, y)
+
     @pytest.mark.parametrize("budget", [EvalBudget(), EvalBudget(max_depth=1)],
                              ids=["answered", "refused"])
     def test_leaves_no_cyclic_garbage(self, budget):

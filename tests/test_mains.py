@@ -344,30 +344,31 @@ class TestSearch:
             probes.append((a, b))
             return b >= t[a]
 
-        def warm(a, b):
-            raise AssertionError("nothing was refused")
-
         want = mains._scan(escapes, below, set())
         for hint in [None, *below]:
-            assert mains._search(escapes, warm, below, hint) == want, hint
+            assert mains._search(escapes, below, hint) == want, hint
         probes.clear()
-        mains._search(escapes, warm, below, None)
+        mains._search(escapes, below, None)
         assert want is not None or len(probes) == 1
 
-        # A pair the budget refuses until warm has run for it leaves the
-        # answer unchanged.
+        # A refused probe propagates: the search gives the scan's pair
+        # unless it probes the refusing pair, and then it raises.
         refusing = data.draw(st.tuples(st.sampled_from(below), st.sampled_from(below)))
-        warmed = set()
 
-        def refuses_until_warmed(a, b):
-            if (a, b) == refusing and (a, b) not in warmed:
+        def refuses(a, b):
+            probes.append((a, b))
+            if (a, b) == refusing:
                 raise BudgetExceeded("refused for the test")
             return b >= t[a]
 
         for hint in [None, *below]:
-            warmed.clear()
-            found = mains._search(refuses_until_warmed, lambda a, b: warmed.add((a, b)), below, hint)
-            assert found == want, hint
+            probes.clear()
+            try:
+                found = mains._search(refuses, below, hint)
+            except BudgetExceeded:
+                assert probes[-1] == refusing, hint
+            else:
+                assert found == want and refusing not in probes, hint
 
     @pytest.mark.parametrize("i, bound", BOUNDS)
     def test_a_refutations_value_is_what_a_fresh_synth_gives(self, i, bound):
@@ -409,19 +410,54 @@ class TestSearch:
 
     def test_refusal_falls_back_to_the_scan(self, monkeypatch):
         # w*2 is refuted by (w, w); refusing that pair leaves the scan,
-        # and so the search, unable to refute it.
+        # and so the search, unable to refute it.  A refusal that grows no
+        # memo entry is retried once, so the search probes the pair twice.
         delta = mul(W, nat(2))
         entries = candidate_lattice()
+        probes, scans = [], []
 
         def refusing(i, alpha, beta, budget, memo):
             if (alpha, beta) == (W, W):
+                probes.append(beta)
                 raise BudgetExceeded("refused for the test")
             return synth(i, alpha, beta, budget, memo=memo)
 
+        def scan(*args, real=mains._scan):
+            scans.append(len(probes))
+            return real(*args)
+
         monkeypatch.setattr(mains, "synth", refusing)
+        monkeypatch.setattr(mains, "_scan", scan)
         verdict = mains._classify(1, delta, entries, B, {})
+        assert scans == [2]
         assert verdict == self._scanned(1, delta, entries, {})
         assert verdict.main and verdict.pairs_skipped == 1
+
+    def test_a_refused_probe_resumes_while_the_memo_grows(self, monkeypatch):
+        # The search probes (w, w) once for w*2.  Its first two calls each
+        # grow the memo by a smaller pair, (w, 1) then (w, 2), and refuse;
+        # the third answers.  Each refusal grew the memo, so the probe is
+        # retried in place and the scan is never reached.
+        delta = mul(W, nat(2))
+        entries = candidate_lattice()
+        want = mains._classify(1, delta, entries, B, {})
+        probes = []
+
+        def refusing(i, alpha, beta, budget, memo):
+            if (alpha, beta) == (W, W):
+                probes.append(beta)
+                if len(probes) <= 2:
+                    synth(i, alpha, nat(len(probes)), budget, memo=memo)
+                    raise BudgetExceeded("refused for the test")
+            return synth(i, alpha, beta, budget, memo=memo)
+
+        def scan(*args):
+            raise AssertionError("fell back to the scan")
+
+        monkeypatch.setattr(mains, "synth", refusing)
+        monkeypatch.setattr(mains, "_scan", scan)
+        assert mains._classify(1, delta, entries, B, {}) == want
+        assert not want.main and len(probes) == 3
 
     @pytest.mark.parametrize("i, delta", [
         (2, pow_(W, pow_(W, nat(2), B), B)),
@@ -442,19 +478,29 @@ class TestSearch:
         assert len(calls) == 1
 
     def test_the_16_sample_report_never_scans(self, monkeypatch):
-        # Its probes that the budget refuses are settled in the search,
-        # after their tables are warmed, so no candidate falls back.
+        # Its one probe that the budget refuses resumes in the search on
+        # the memo the refused call grew, so no candidate falls back.  The
+        # counts are deterministic.
+        memos = []
+
+        def recording(i, alpha, beta, budget, memo):
+            memos.append(memo)
+            return synth(i, alpha, beta, budget, memo=memo)
+
         def scan(*args):
             raise AssertionError(f"fell back to the scan at {args[1]}")
 
+        monkeypatch.setattr(mains, "synth", recording)
         monkeypatch.setattr(mains, "_scan", scan)
         report = enumerate_main_numbers(
             2, pow_(W, pow_(W, nat(3), B), B), budget=EvalBudget(sup_samples=16))
         assert report.pairs_skipped == 0
+        assert len(memos) == 566
+        assert sum(map(len, memos[0].values())) == 66166
 
     def test_a_warm_memo_never_changes_a_value(self):
-        # The search warms a refused probe's table and retries it, which is
-        # sound only if a warmer memo changes no answer.  Seeded runs of
+        # The search retries a refused probe on the memo the refusal grew,
+        # which is sound only if a warmer memo changes no answer.  Seeded runs of
         # synth calls at levels 2 and 3, each run on one shared memo, agree
         # with fresh calls wherever both answer: the two may differ only in
         # which calls the budget refuses.
