@@ -207,34 +207,32 @@ def sample_and_infer(
     theirs and stay memoized.  A cut run of at least 3 samples is still
     inferred from, since further samples only refine a visible trend; if
     it gives no value, the refusal that cut it is the answer, as its few
-    samples may show only the early height climb or no trend yet.
+    samples may show only the early height climb or no trend yet.  A cut
+    run is settled inside the handler that caught the refusal, so no
+    frame keeps the refusal, whose traceback holds eval_at and its memo.
     """
     samples = []
-    cut = None
     for g in _points(lam, meter.budget.sup_samples):
         work = meter.work
         try:
             x = eval_at(g)
-        except BudgetExceeded as err:
+        except BudgetExceeded as cut:
             meter.work = work
             if len(samples) < 3:
                 raise
-            cut = err
-            break
+            try:
+                return infer_lub(samples)
+            except (NotRepresentable, NoPatternError):
+                raise cut from None
         samples.append(x)
         if len(samples) >= 6 and (samples[-4]._height < samples[-3]._height
                                   < samples[-2]._height < x._height):
             classify_lub(samples)  # its tower test fires: raises NotRepresentable
     try:
         return infer_lub(samples)
-    except NotRepresentable:
-        if cut is None:
-            raise
     except NoPatternError as err:
-        if cut is None:
-            rendered = ", ".join(str(s) for s in samples)
-            raise BudgetExceeded(
-                f"no growth rule matched after {len(samples)} samples: [{rendered}]",
-                samples,
-            ) from err
-    raise cut
+        rendered = ", ".join(str(s) for s in samples)
+        raise BudgetExceeded(
+            f"no growth rule matched after {len(samples)} samples: [{rendered}]",
+            samples,
+        ) from err

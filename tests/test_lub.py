@@ -24,6 +24,7 @@ from transfinite.errors import BudgetExceeded, NoPatternError, NotRepresentable
 from transfinite.lub import (
     LubInference, _common_term_prefix, classify_lub, infer_lub, sample_and_infer,
 )
+from transfinite.mains import enumerate_main_numbers
 from transfinite.ordinal import (
     ONE, ZERO, cnf_height, fundamental_prefix, omega_power, successor,
 )
@@ -299,6 +300,23 @@ class TestSampleAndInfer:
         # run goes on from the four completed samples and their 8 steps.
         assert sample_and_infer(f, W, meter) == WW
         assert meter.work == 8
+
+    def test_cut_run_leaves_no_cyclic_garbage(self):
+        # A kept refusal's traceback would hold the frame, and with it
+        # eval_at and the shared memo, in a cycle until the next collection.
+        gc.collect()
+        gc.disable()
+        try:
+            capped = EvalBudget(max_bits=4)
+            # The bit cap cuts a run, which is inferred from anyway.
+            assert synthesis.synth(3, nat(2), W, capped) == W
+            # The bit cap cuts a run that infers nothing; its refusal stands.
+            with pytest.raises(BudgetExceeded, match="a 5-bit natural exceeds the 4-bit cap"):
+                synthesis.synth(4, nat(3), W, capped)
+            enumerate_main_numbers(4, pow_(W, W2, B))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_completed_and_unrepresentable_samples_keep_their_work(self):
         meter = Meter(B)

@@ -235,6 +235,60 @@ class TestEnumerate:
             enumerate_main_numbers(1, bound, budget=B)
 
 
+class TestCollectorPause:
+    CALLS = [
+        pytest.param(lambda: is_main_number(1, W, budget=B), id="is_main_number"),
+        pytest.param(lambda: enumerate_main_numbers(1, W, budget=B), id="enumerate"),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def collecting_after(self):
+        yield
+        gc.enable()
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        # The collector's state at each _classify call.
+        states = []
+
+        def recording(*args, real=mains._classify):
+            states.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(mains, "_classify", recording)
+        return states
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_paused_during_the_call_and_resumed_after(self, call, seen):
+        gc.enable()
+        call()
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_a_disabled_collector_stays_disabled(self, call, seen):
+        gc.disable()
+        call()
+        assert seen and not any(seen)
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_resumed_after_a_raise(self, call, monkeypatch):
+        def raising(*args):
+            raise BudgetExceeded("refused for the test")
+
+        monkeypatch.setattr(mains, "_classify", raising)
+        gc.enable()
+        with pytest.raises(BudgetExceeded, match="refused for the test"):
+            call()
+        assert gc.isenabled()
+
+    def test_the_public_functions_stay_unwrapped(self):
+        # perfbench's worker refuses an untraced pass over a wrapped function.
+        assert not hasattr(is_main_number, "__wrapped__")
+        assert not hasattr(enumerate_main_numbers, "__wrapped__")
+
+
 class TestReportJson:
     def test_key_order_and_shape(self):
         doc = enumerate_main_numbers(1, pow_(W, nat(3), B), budget=B).json_dict()
