@@ -89,14 +89,17 @@ class Meter:
     unless one is passed to share.  Evaluators run through run(), call
     step() for one or more units of work at one depth and check_size()
     on each value they produce.  sample_and_infer gives a refused
-    sample's work back.  Caps are copied from the budget once.
+    sample's work back, and takes its sample points from points, the
+    memo's point table when the memo is a synthesis.Memo and None when
+    it is a plain dict.  Caps are copied from the budget once.
     """
 
-    __slots__ = ("budget", "memo", "work", "max_depth", "max_work", "max_bits")
+    __slots__ = ("budget", "memo", "points", "work", "max_depth", "max_work", "max_bits")
 
     def __init__(self, budget: Optional[EvalBudget] = None, memo: Optional[dict] = None):
         self.budget = budget = budget or DEFAULT_BUDGET
         self.memo = {} if memo is None else memo
+        self.points = getattr(memo, "points", None)
         self.work = 0
         self.max_depth, self.max_work, self.max_bits = (
             budget.max_depth, budget.max_work, budget.max_bits)

@@ -28,7 +28,10 @@ of the values, a peeled remainder is a slice, and interned exponents compare
 by identity; only the answer is built.  sample_and_infer keeps each sample's
 height as it arrives, and its in-flight tower check reads the last four.
 Sample points come from a 256-entry LRU shared across evaluations; it
-holds each interned limit it keys on, so no key goes stale.
+holds each interned limit it keys on, so no key goes stale.  An
+evaluation on a synthesis.Memo keeps its points in the memo's own table
+as well, filled from the LRU on a miss, so a run of calls that shares
+the memo builds each limit's points once and they die with the memo.
 
 The rule search on a strictly increasing run, _infer_increasing, is a
 second 256-entry LRU with no setting, keyed by the run as a tuple of term
@@ -188,16 +191,19 @@ def sample_and_infer(
 
     Samples eval_at(0), eval_at(1), then eval_at(lam[k]) for
     k < meter.budget.sup_samples, with eval_at counting its work on
-    meter; the points come unmetered from _points, a 256-entry LRU
-    shared across evaluations.  Once the two seed probes have at least four
-    fundamental-sequence values behind them, a check runs after each new
-    sample that only acts when it proves the sup escapes epsilon_0,
-    cutting off ever larger towers early.  Checking sooner would mistake
-    a benign height climb for a tower: the probes 0 and 1 sit far below
-    any infinite sample, and the first fundamental-sequence values of a
-    nested limit climb once or twice before their height flattens.  A
-    genuine tower keeps climbing, so waiting costs one sample.
-    Successful value inferences always use the full run.
+    meter.  The points come unmetered from meter.points, the point table
+    of the meter's Memo, keyed by lam alone since a memo is shared under
+    one budget; on a miss, or with no table, they come from _points, a
+    256-entry LRU shared across evaluations.  Once the two seed probes
+    have at least four fundamental-sequence values behind them, a check
+    runs after each new sample that only acts when it proves the sup
+    escapes epsilon_0, cutting off ever larger towers early.  Checking
+    sooner would mistake a benign height climb for a tower: the probes 0
+    and 1 sit far below any infinite sample, and the first
+    fundamental-sequence values of a nested limit climb once or twice
+    before their height flattens.  A genuine tower keeps climbing, so
+    waiting costs one sample.  Successful value inferences always use the
+    full run.
 
     NotRepresentable from a sample itself, or from the in-flight check,
     is final: the sampled function is weakly increasing here, so any
@@ -211,8 +217,15 @@ def sample_and_infer(
     run is settled inside the handler that caught the refusal, so no
     frame keeps the refusal, whose traceback holds eval_at and its memo.
     """
+    table = meter.points
+    if table is None:
+        points = _points(lam, meter.budget.sup_samples)
+    else:
+        points = table.get(lam)
+        if points is None:
+            points = table[lam] = _points(lam, meter.budget.sup_samples)
     samples = []
-    for g in _points(lam, meter.budget.sup_samples):
+    for g in points:
         work = meter.work
         try:
             x = eval_at(g)

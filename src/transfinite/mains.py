@@ -25,6 +25,9 @@ counts the distinct pairs the scan left unsettled, so it is 0 whenever
 the search decides.  A refutation's value is the one synth left in the
 memo, at memo[i, alpha][beta]; it is None when not representable.
 
+The shared memo is a synthesis.Memo, so each limit's sample points are
+built once per report and die with the memo.
+
 The reports pair the confirmed infinite mains, in order, against the
 ladder values synth(i+1, w, w^rank), rank = 0, 1, 2, ...  Ranks are
 0-indexed: rank 0 pairs with the smallest infinite main.
@@ -148,7 +151,7 @@ def is_main_number(
             raise OrdinalDomainError(f"candidate must be an Ordinal > 0, got {delta!r}")
         depth, coeff, terms = lattice_spec
         entries = candidate_lattice(depth, coeff, terms)
-        return _classify(i, delta, entries, budget, {})
+        return _classify(i, delta, entries, budget, Memo())
 
 
 @contextlib.contextmanager
@@ -353,7 +356,7 @@ def enumerate_main_numbers(
         entries = candidate_lattice(depth, coeff, terms, bound=bound)
         candidates = [x for x in entries if not x.is_zero]
 
-        memo: Memo = {}
+        memo = Memo()
         verdicts: List[MainVerdict] = []
         hint = None
         for delta in candidates:

@@ -22,7 +22,7 @@ accumulators), which is exactly what it exists to demonstrate.
 from __future__ import annotations
 
 import functools
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 from .arithmetic import add, mul, pow_
 from .budget import EvalBudget, Meter
@@ -48,8 +48,21 @@ __all__ = [
     "DistributionCheck",
 ]
 
-# One table per (level, alpha): memo[n, alpha][beta]; naive_ext's at level -n.
-Memo = Dict[Tuple[int, Ordinal], Dict[Ordinal, Ordinal]]
+
+class Memo(dict):
+    """A memo to share across synth calls made with one budget.
+
+    Its items are the tables memo[n, alpha][beta], naive_ext's at level
+    -n.  points, not an item, maps each limit sampled to its sample
+    points; the one-budget rule covers it too, so it is keyed by the
+    limit alone.  A plain dict works as a memo, taking its points from
+    lub's process-wide LRU; a Memo's points live and die with it.
+    """
+
+    __slots__ = ("points",)
+
+    def __init__(self):
+        self.points = {}
 
 
 # op(*args) for _sup's chains and _combine_run's closed powers, kept across
@@ -72,14 +85,16 @@ def synth(
     beta: Ordinal,
     budget: Optional[EvalBudget] = None,
     *,
-    memo: Optional[Memo] = None,
+    memo: Optional[dict] = None,
 ) -> Ordinal:
     """Level-n ladder operation applied to (alpha, beta).
 
     A caller may pass a shared ``memo`` dict to reuse sub-results across
     calls; only share one between calls made with the same budget.  It
     holds one table per (level, alpha): the value of synth(n, alpha,
-    beta) is at memo[n, alpha][beta].
+    beta) is at memo[n, alpha][beta].  A Memo also keeps the sample
+    points of every limit its calls sample, so each limit's are built
+    once per memo, not on every miss of lub's 256-entry LRU.
     """
     return _run(_eval, n, alpha, beta, budget, memo)
 

@@ -16,7 +16,7 @@ from support import W, nat
 
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget
-from transfinite import mains, ordinal
+from transfinite import lub, mains, ordinal, synthesis
 from transfinite.errors import BudgetExceeded, NotRepresentable, OrdinalDomainError
 from transfinite.mains import (
     DEFAULT_LATTICE_SPEC,
@@ -25,10 +25,12 @@ from transfinite.mains import (
     enumerate_main_numbers,
     is_main_number,
 )
-from transfinite.ordinal import ONE, ZERO, Ordinal
-from transfinite.synthesis import synth
+from transfinite.ordinal import ONE, ZERO, Ordinal, fundamental_prefix, is_additive_principal
+from transfinite.synthesis import Memo, synth
 
 B = EvalBudget()
+W2 = pow_(W, nat(2), B)
+WW = pow_(W, W, B)
 
 
 class TestCandidateLattice:
@@ -225,6 +227,45 @@ class TestEnumerate:
         assert rows[1]["expected"] == "NotRepresentable"
         assert report.all_match
 
+    # The principal numbers of add, mul and pow_: 1 and w^x; 1, 2 and
+    # w^(w^x); 2 and w (0^0 = 1 refutes 1, and the next is epsilon_0).
+    PRINCIPAL = {
+        1: (add, is_additive_principal),
+        2: (mul, lambda x: x in (ONE, nat(2)) or (
+            is_additive_principal(x) and is_additive_principal(x.terms[0][0]))),
+        3: (pow_, lambda x: x in (nat(2), W)),
+    }
+
+    @classmethod
+    def _check_principal(cls, i, bound, spec=DEFAULT_LATTICE_SPEC):
+        # Indices 1-3 confirm exactly the principal numbers in the lattice,
+        # and each refutation's witness re-checks against the closed form.
+        op, principal = cls.PRINCIPAL[i]
+        report = enumerate_main_numbers(i, bound, spec, B)
+        assert report.confirmed == tuple(
+            filter(principal, candidate_lattice(*spec, bound=bound)[1:])), bound
+        assert report.pairs_skipped == 0
+        for verdict in report.refuted:
+            alpha, beta = verdict.witness
+            assert max(alpha, beta) < verdict.candidate, verdict
+            assert verdict.value == op(alpha, beta) >= verdict.candidate, verdict
+        return report
+
+    @pytest.mark.parametrize("i, top, count", [
+        (1, pow_(W, WW, B), 31), (2, pow_(W, W2, B), 5), (3, pow_(W, W2, B), 2),
+    ], ids=["add", "mul", "pow"])
+    def test_verdicts_are_the_principal_numbers(self, i, top, count):
+        # Every candidate of the default lattice up to top as the bound.
+        for bound in candidate_lattice(bound=top)[1:]:
+            report = self._check_principal(i, bound)
+        assert len(report.confirmed) == count
+
+    @given(st.sampled_from(sorted(PRINCIPAL)),
+           st.tuples(st.integers(1, 2), st.integers(1, 4), st.integers(1, 3)), st.data())
+    def test_small_lattices_confirm_the_principal_numbers(self, i, spec, data):
+        bound = data.draw(st.sampled_from(candidate_lattice(*spec)[1:]), label="bound")
+        self._check_principal(i, bound, spec)
+
     def test_index_validation(self):
         with pytest.raises(OrdinalDomainError):
             enumerate_main_numbers(0, W, budget=B)
@@ -287,6 +328,72 @@ class TestCollectorPause:
         # perfbench's worker refuses an untraced pass over a wrapped function.
         assert not hasattr(is_main_number, "__wrapped__")
         assert not hasattr(enumerate_main_numbers, "__wrapped__")
+
+
+class TestPointTable:
+    """A report's memo is a Memo, whose point table keeps the sample points
+    of every limit the report samples: built once each, through lub._points."""
+
+    DEEP = pow_(W, pow_(W, nat(3), B), B)
+
+    @classmethod
+    def _report(cls, monkeypatch, budget):
+        # The report's memo, after it ran.
+        memos = []
+
+        def recording(i, alpha, beta, budget, memo):
+            memos.append(memo)
+            return synth(i, alpha, beta, budget, memo=memo)
+
+        monkeypatch.setattr(mains, "synth", recording)
+        enumerate_main_numbers(2, cls.DEEP, budget=budget)
+        return memos[0]
+
+    @pytest.mark.parametrize("samples, limits", [(8, 285), (16, 1205)])
+    def test_one_entry_per_distinct_limit(self, monkeypatch, samples, limits):
+        sampled, built = [], []
+
+        def sampling(eval_at, lam, meter, real=lub.sample_and_infer):
+            sampled.append(lam)
+            return real(eval_at, lam, meter)
+
+        def points(lam, n, real=lub._points):
+            built.append(lam)
+            return real(lam, n)
+
+        monkeypatch.setattr(synthesis, "sample_and_infer", sampling)
+        monkeypatch.setattr(lub, "_points", points)
+        memo = self._report(monkeypatch, EvalBudget(sup_samples=samples))
+        assert type(memo) is Memo
+        assert len(memo.points) == limits and set(memo.points) == set(sampled)
+        # lub._points sees one lookup per limit: the table's one miss.
+        assert len(built) == limits and set(built) == set(memo.points)
+        for lam, table_points in memo.points.items():
+            assert table_points == (ZERO, ONE, *fundamental_prefix(lam, samples))
+
+    def test_the_points_die_with_the_memo(self, monkeypatch):
+        # With the collector off throughout, reference counting frees every
+        # point the report made once the memo and the process-wide caches
+        # let go of it, and the report leaves no cyclic garbage.  Values
+        # alive before the report, the lattice among them, are left out.
+        candidate_lattice()
+        gc.collect()
+        gc.disable()
+        try:
+            before = set(ordinal._TABLE)
+            memo = self._report(monkeypatch, B)
+            held = {x for lam, table_points in memo.points.items()
+                    for x in (lam, *table_points) if x.terms not in before}
+            refs = [weakref.ref(x) for x in held]
+            assert len(refs) > 1000
+            del memo, held, before
+            monkeypatch.undo()
+            for cache in (lub._points, lub._infer_increasing, synthesis._shared):
+                cache.cache_clear()
+            assert all(ref() is None for ref in refs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestReportJson:
@@ -550,6 +657,7 @@ class TestSearch:
             2, pow_(W, pow_(W, nat(3), B), B), budget=EvalBudget(sup_samples=16))
         assert report.pairs_skipped == 0
         assert len(memos) == 566
+        assert type(memos[0]) is Memo
         assert sum(map(len, memos[0].values())) == 66166
 
     def test_a_warm_memo_never_changes_a_value(self):
@@ -613,6 +721,7 @@ class TestReportBytes:
 def test_shared_memo_holds_one_table_per_level_and_alpha(monkeypatch):
     # The report's shared memo maps (level, alpha) to a table keyed by
     # beta; its counts are those of the flat (level, alpha, beta) layout.
+    # It is a Memo, whose point table is not among its items.
     memos = []
 
     def recording(i, alpha, beta, budget, memo):
@@ -623,6 +732,7 @@ def test_shared_memo_holds_one_table_per_level_and_alpha(monkeypatch):
     enumerate_main_numbers(2, pow_(W, pow_(W, nat(3), B), B))
     memo = memos[0]
     assert all(m is memo for m in memos)
+    assert type(memo) is Memo and len(memo.points) == 285
     assert len(memo) == 18
     assert sum(map(len, memo.values())) == 7247
     for key, table in memo.items():

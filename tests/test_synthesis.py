@@ -26,9 +26,10 @@ from transfinite.errors import BudgetExceeded, NotRepresentable, OrdinalDomainEr
 from transfinite.hyper import hyper
 from transfinite.lub import sample_and_infer
 from transfinite.notation import eval_expr, parse
-from transfinite.ordinal import ONE, ZERO, from_natural, omega_power
+from transfinite.ordinal import ONE, ZERO, from_natural, fundamental_prefix, omega_power
 from transfinite.synthesis import (
     DistributionCheck,
+    Memo,
     _eval,
     distributes,
     naive_ext,
@@ -556,6 +557,40 @@ class TestDomainAndMemo:
         assert first == again == W2
         # The memo must have been consulted, not just written.
         assert add(W, ONE) in memo[4, nat(2)]
+
+    @given(
+        st.builds(EvalBudget, st.integers(2, 24), st.integers(4, 256), st.integers(3, 10)),
+        st.lists(st.tuples(st.integers(1, 5), ordinals(2), ordinals(2)), min_size=1, max_size=8),
+    )
+    def test_a_memo_matches_a_plain_dict(self, budget, calls):
+        # One run of calls on a shared Memo and one on a shared plain dict,
+        # under one budget: the Memo's point table moves no value, refusal,
+        # work step or memo entry, and holds each limit's points.
+        meters = []
+
+        def recording(budget, memo):
+            meters.append(Meter(budget, memo))
+            return meters[-1]
+
+        def run(memo):
+            outcomes = []
+            for n, alpha, beta in calls:
+                try:
+                    value = synth(n, alpha, beta, budget, memo=memo)
+                except (BudgetExceeded, NotRepresentable) as err:
+                    value = type(err), str(err)
+                outcomes.append((value, meters[-1].work))
+            return outcomes
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(synthesis, "Meter", recording)
+            memo, plain = Memo(), {}
+            assert run(memo) == run(plain)
+        assert memo == plain
+        assert all(meter.points is memo.points for meter in meters[:len(calls)])
+        assert all(meter.points is None for meter in meters[len(calls):])
+        for lam, points in memo.points.items():
+            assert points == (ZERO, ONE, *fundamental_prefix(lam, budget.sup_samples))
 
     def test_identity_steps(self):
         for n in (2, 3, 4, 7):
