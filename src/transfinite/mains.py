@@ -37,9 +37,9 @@ collector for their whole call and restore its state after, so it does
 not re-walk a memo that grows to hundreds of thousands of entries.  That
 is safe: a value only refers to values built before it, so values and
 memo tables are acyclic, and lub.sample_and_infer keeps no refused run's
-traceback, so a report leaves no cyclic garbage; reference counting frees
-its memo when it returns.  The pause is process-wide: other threads run
-without the collector meanwhile.
+traceback, so a report leaves no cyclic garbage.  A report frees its memo
+before the pause ends, so the one collection after it walks no memo.  The
+pause is process-wide: other threads run without the collector meanwhile.
 """
 
 from __future__ import annotations
@@ -376,6 +376,7 @@ def enumerate_main_numbers(
             # Values are interned, and None never equals an Ordinal.
             match = None if observed is None else expected == observed
             rows.append(ConjectureRow(rank, expected_text, observed, match))
+        del memo  # freed here, or the collection after the pause walks it
 
         return MainNumberReport(
             op_index=i,

@@ -38,7 +38,6 @@ from .ordinal import (
     is_successor,
     limit_and_finite_parts,
     omega_power,
-    predecessor,
 )
 
 __all__ = [
@@ -148,10 +147,10 @@ def _sup(ctx: Meter, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordina
     level-3 fold's power refuses a non-principal H^(k-1) once k - 1
     exceeds max_bits; past that point the sample takes the fold.
 
-    The chain relies on sample_and_infer's order, 0, 1, then lam[k] =
-    w^g*k for k = 0, 1, 2, ..., stopping at the first refusal: sample
-    w^g (k = 1) has fetched the chain before any sample k >= 2 reads
-    it.
+    k is the sample's position: sample_and_infer hands out 0, 1, then
+    lam[k] = w^g*k for k = 0, 1, 2, ..., stopping at the first refusal, so
+    sample w^g (k = 1) has fetched the chain before any k >= 2 reads it.
+    Every sample reads the memo table first; only a miss is evaluated.
 
     Level 5 and up need no chain: the fold combines through the memoized
     _eval, so only one evaluation per sample is new.  Level 4 combines
@@ -164,29 +163,28 @@ def _sup(ctx: Meter, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordina
     exp = lam.terms[0][0]
     if n > 3 or not is_successor(exp):
         return sample_and_infer(lambda gamma: _eval(ctx, n, alpha, gamma, depth), lam, ctx)
-    g = predecessor(exp)
-    table = ctx.memo.setdefault((n, alpha), {})
+    table = ctx.memo[n, alpha]  # made by the _eval that called _sup
     op = add if n == 2 else mul
+    k = -3  # the sample's position: 0 and 1 at -2 and -1, then lam[k]
     chain = None  # sample w^g*k at chain[k], set at sample w^g
 
     def eval_at(gamma: Ordinal) -> Ordinal:
-        nonlocal chain
-        terms = gamma.terms
-        k = terms[0][1] if len(terms) == 1 and terms[0][0] is g else 0
-        if k < 2 or (n == 3 and k - 1 > ctx.max_bits):
-            value = _eval(ctx, n, alpha, gamma, depth)
-            if k == 1:
-                chain = _shared(_chain, n, value)
-            return value
+        nonlocal k, chain
+        k += 1
         value = table.get(gamma)
         if value is None:
-            ctx.step(depth, 1 + (k - 1).bit_length() if n == 2 else 2)
-            while len(chain) < k:
-                j = len(chain)
-                chain[j + 1] = op(chain[1], chain[j])
-            value = chain[k]
-            ctx.check_size(value)
-            table[gamma] = value
+            if k < 2 or (n == 3 and k - 1 > ctx.max_bits):
+                value = _eval(ctx, n, alpha, gamma, depth)
+            else:
+                ctx.step(depth, 1 + (k - 1).bit_length() if n == 2 else 2)
+                while len(chain) < k:
+                    j = len(chain)
+                    chain[j + 1] = op(chain[1], chain[j])
+                value = chain[k]
+                ctx.check_size(value)
+                table[gamma] = value
+        if k == 1:
+            chain = _shared(_chain, n, value)
         return value
 
     return sample_and_infer(eval_at, lam, ctx)

@@ -614,6 +614,14 @@ class TestPoints:
             assert lub._points(lam, 8) == want
             assert lub._points(lam, 8) == want  # warm
 
+    def test_successor_exponent_points_count_up_from_zero(self):
+        # synthesis._sup takes a sample's k from its position in this order.
+        for g in (ZERO, ONE, W, add(W2, nat(3))):
+            unit = omega_power(g)
+            for count in (1, 2, 3, 8, 16):
+                want = (ZERO, ONE, ZERO, *(mul(unit, nat(k)) for k in range(1, count)))
+                assert lub._points(omega_power(successor(g)), count) == want
+
     def test_sample_counts_get_their_own_entries(self):
         lub._points.cache_clear()
         narrow, wide = lub._points(W2, 8), lub._points(W2, 16)

@@ -171,15 +171,28 @@ class TestChainedSamples:
                 plain = _traced(n, x, y, budget)
             assert chained == plain, (n, x, y, budget)
 
-    def test_matches_the_plain_route_on_random_trees(self, monkeypatch):
+    @staticmethod
+    def _random_cases(budgets):
         # Levels 4 and up never reach a level-2 or level-3 supremum (their
         # folds at level 3 use the closed power), so they are not swept.
         rng = random.Random(0)
         pairs = [(rand_tree(rng, 3), rand_tree(rng, 3)) for _ in range(40)]
+        return [(n, x, y, budget) for budget in budgets for n in (2, 3) for x, y in pairs]
+
+    def test_matches_the_plain_route_on_random_trees(self, monkeypatch):
         budgets = [EvalBudget(max_depth=24, sup_samples=k) for k in (8, 16)]
-        self._agree(monkeypatch, [
-            (n, x, y, budget) for budget in budgets for n in (2, 3) for x, y in pairs
-        ])
+        self._agree(monkeypatch, self._random_cases(budgets))
+
+    def test_matches_the_plain_route_on_short_and_cut_runs(self, monkeypatch):
+        # The chain counts samples by position, so a run of 1-3 points past
+        # the seeds, or one the depth cap cuts, must still line up with the
+        # points: both answers and refusals are swept.
+        budgets = [EvalBudget(max_depth=24, sup_samples=k) for k in (1, 2, 3)]
+        budgets += [EvalBudget(max_depth=d) for d in (1, 2, 3)]
+        cases = self._random_cases(budgets)
+        self._agree(monkeypatch, cases)
+        outcomes = {_traced(*case)[0] for case in cases}
+        assert BudgetExceeded in outcomes and len(outcomes) > 2
 
     def test_sup_limit_matches_the_plain_route_at_every_level(self, monkeypatch):
         # Supremum at a principal limit beta, up to w^(w+1): _eval answers
