@@ -10,6 +10,8 @@ main builds its argument parser once per process, on the first call, and
 reuses it: the budget, TRANSFINITE_BUDGET_BITS and the terminal width
 (read when usage or help text is printed) are still read on every call.
 Each subparser names its handler; selftest evaluates SELFTEST_PAIRS.
+mains prints its report byte-identical to json.dumps(..., indent=2), but
+without json's pure-Python indenting encoder, whose closures form a cycle.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .arithmetic import add, mul, pow_
@@ -167,8 +170,23 @@ def _cmd_mains(args, budget: EvalBudget) -> int:
         lattice_spec=(args.depth, args.coeff, args.terms),
         budget=budget,
     )
-    print(json.dumps(report.json_dict(), indent=2))
+    print(_json_text(report.json_dict()))
     return EXIT_OK
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for a document with str keys."""
+    inner = indent + "  "
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict) and obj:
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + indent + "]"
+    if isinstance(obj, int):
+        return "true" if obj is True else "false" if obj is False else int.__repr__(obj)
+    return "null" if obj is None else json.dumps(obj)  # empty containers, floats
 
 
 # Expression pairs that must evaluate to the same value, each labelled by

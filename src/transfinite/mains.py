@@ -176,12 +176,13 @@ def _classify(
     memo: Memo,
     hint: Optional[Ordinal] = None,
 ) -> MainVerdict:
-    below = entries[: bisect_left(entries, delta)]
+    top = delta.terms  # term tuple order is value order
+    below = entries[: bisect_left(entries, top, key=attrgetter("terms"))]
 
     def escapes(alpha: Ordinal, beta: Ordinal) -> bool:
         # Not representable means >= epsilon_0 > delta; a refusal propagates.
         try:
-            return synth(i, alpha, beta, budget, memo=memo) >= delta
+            return synth(i, alpha, beta, budget, memo=memo).terms >= top
         except NotRepresentable:
             return True
 

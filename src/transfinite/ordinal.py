@@ -96,23 +96,23 @@ class Ordinal:
 
     def __str__(self) -> str:
         # Canonical text form; notation's eval_expr(parse(text)) reads it back:
-        # terms joined by " + ", each "w^E*C" with the shorthands
-        # w^0*C -> "C", w^1*C -> "w*C", and "*1" dropped.  A composite
-        # exponent (anything other than a natural or w itself) gets
-        # parentheses, e.g. "w^(w + 1)".
+        # terms joined by " + ", each "w^E*C" with the shorthands w^0*C -> "C",
+        # w^1*C -> "w*C", and "*1" dropped.  A composite exponent (anything
+        # other than a natural or w itself) gets parentheses, e.g. "w^(w + 1)".
+        # Values are interned, so exponents are tested by identity.
         if not self.terms:
             return "0"
         out = []
         for exp, coeff in self.terms:
-            if exp.is_zero:
+            if exp is ZERO:
                 out.append(str(coeff))
                 continue
-            if exp == ONE:
+            if exp is ONE:
                 base = "w"
-            elif exp == OMEGA:
+            elif exp is OMEGA:
                 base = "w^w"
-            elif exp.is_natural:
-                base = f"w^{exp.natural_value()}"
+            elif len(exp.terms) == 1 and exp.terms[0][0] is ZERO:
+                base = f"w^{exp.terms[0][1]}"
             else:
                 base = f"w^({exp})"
             out.append(base if coeff == 1 else f"{base}*{coeff}")

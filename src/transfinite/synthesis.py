@@ -95,12 +95,10 @@ def synth(
     points of every limit its calls sample, so each limit's are built
     once per memo, not on every miss of lub's 256-entry LRU.
     """
-    return _run(_eval, n, alpha, beta, budget, memo)
-
-
-def _run(evaluate, n, alpha, beta, budget, memo):
-    _check_args(n, alpha, beta)
-    return Meter(budget, memo).run(evaluate, n, alpha, beta, 0)
+    # One test on the common path; _check_args raises the error, if any.
+    if not (type(n) is int and n > 0 and type(alpha) is Ordinal and type(beta) is Ordinal):
+        _check_args(n, alpha, beta)
+    return Meter(budget, memo).run(_eval, n, alpha, beta, 0)
 
 
 def _eval(ctx: Meter, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> Ordinal:
@@ -268,7 +266,8 @@ def naive_ext(
     every beta >= omega gives the same value as beta = omega, because
     the level-(n-1) successor steps cannot move an infinite accumulator.
     """
-    return _run(_naive, n, alpha, beta, budget, None)
+    _check_args(n, alpha, beta)
+    return Meter(budget).run(_naive, n, alpha, beta, 0)
 
 
 def _naive(ctx: Meter, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> Ordinal:

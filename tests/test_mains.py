@@ -3,6 +3,7 @@ deterministic report JSON."""
 import contextlib
 import gc
 import hashlib
+import io
 import itertools
 import json
 import random
@@ -16,7 +17,7 @@ from support import W, nat
 
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget
-from transfinite import lub, mains, ordinal, synthesis
+from transfinite import cli, lub, mains, ordinal, synthesis
 from transfinite.errors import BudgetExceeded, NotRepresentable, OrdinalDomainError
 from transfinite.mains import (
     DEFAULT_LATTICE_SPEC,
@@ -697,7 +698,7 @@ class TestSearch:
 
 
 class TestReportBytes:
-    @pytest.mark.parametrize("i, bound, sha", [
+    REPORTS = [
         (2, pow_(W, pow_(W, nat(3), B), B),
          "e4ba830971c11696958a843b11781ecc53fbf9648d700ce135e391215cd285fe"),
         (1, pow_(W, nat(5), B),
@@ -712,10 +713,28 @@ class TestReportBytes:
         # A longer run of warm-started alpha searches than below w^(w^3).
         (2, pow_(W, pow_(W, nat(4), B), B),
          "ed80f3b1f6977456d1a86ada9ca167cabaa88fdc7701e327a5b1a1e83df132f3"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("i, bound, sha", REPORTS)
     def test_report_sha256(self, i, bound, sha):
         text = json.dumps(enumerate_main_numbers(i, bound).json_dict(), indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+    @pytest.mark.parametrize("i, bound, sha", REPORTS)
+    def test_cli_prints_the_report_as_json_dumps(self, monkeypatch, i, bound, sha):
+        # The command prints through its own writer, not json.dumps.
+        reports = []
+
+        def recording(*args, **kwargs):
+            reports.append(enumerate_main_numbers(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "enumerate_main_numbers", recording)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["mains", "--index", str(i), "--bound", str(bound)]) == 0
+        assert out.getvalue() == json.dumps(reports[0].json_dict(), indent=2) + "\n"
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == sha
 
 
 def test_shared_memo_holds_one_table_per_level_and_alpha(monkeypatch):

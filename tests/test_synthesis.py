@@ -541,16 +541,25 @@ class TestDistribution:
 
 
 class TestDomainAndMemo:
+    # Each entry point raises exactly this error type and message.
+    ENTRY_POINTS = (synth, naive_ext, distributes)
+
     def test_index_validation(self):
-        for bad in (0, -1, 2.0, True):
-            with pytest.raises(OrdinalDomainError):
-                synth(bad, W, W, B)
+        for evaluate in self.ENTRY_POINTS:
+            for bad in (0, -1, 2.0, True):
+                with pytest.raises(OrdinalDomainError) as exc:
+                    evaluate(bad, W, add(W, ONE), B)
+                assert type(exc.value) is OrdinalDomainError
+                assert str(exc.value) == f"operation index must be an integer >= 1, got {bad!r}"
 
     def test_operands_must_be_ordinals(self):
-        with pytest.raises(OrdinalDomainError):
-            synth(2, 3, W, B)
-        with pytest.raises(OrdinalDomainError):
-            naive_ext(2, W, "w", B)
+        for evaluate in self.ENTRY_POINTS:
+            for bad in (3, "w", None):
+                for operands in ((bad, add(W, ONE)), (W, bad)):
+                    with pytest.raises(OrdinalDomainError) as exc:
+                        evaluate(2, *operands, B)
+                    assert type(exc.value) is OrdinalDomainError
+                    assert str(exc.value) == f"expected an Ordinal, got {bad!r}"
 
     @pytest.mark.parametrize(
         "evaluate, beta",
