@@ -17,13 +17,16 @@ levels 1 and 2.  From level 3 on, every value at alpha <= 1 is at most
 
 In a report, each alpha search starts at the witness alpha of the last
 refutation, since neighbouring candidates often share it.  A refused
-synth call keeps the samples it finished in the shared memo, so a probe
-is retried while each refusal grows the memo, which it does only finitely
-often.  A probe refused without growth sends its candidate to a scan of
-every pair, which skips the refused pairs; a verdict's pairs_skipped
-counts the distinct pairs the scan left unsettled, so it is 0 whenever
-the search decides.  A refutation's value is the one synth left in the
-memo, at memo[i, alpha][beta]; it is None when not representable.
+synth call keeps the values its _eval calls finished in the shared memo
+(the samples synthesis._sup builds along a chain are not among them, and
+a retry builds them again), so a probe is retried while each refusal
+grows the memo.  That ends: each retry adds an entry or raises, and one
+probe has finitely many sub-evaluations to add.  A probe refused
+without growth sends its candidate to a scan of every pair, which skips
+the refused pairs; a verdict's pairs_skipped counts the distinct pairs
+the scan left unsettled, so it is 0 whenever the search decides.
+A refutation's value is the one synth left in the memo, at
+memo[i, alpha][beta]; it is None when not representable.
 
 The shared memo is a synthesis.Memo, so each limit's sample points are
 built once per report and die with the memo.
@@ -34,7 +37,7 @@ ladder values synth(i+1, w, w^rank), rank = 0, 1, 2, ...  Ranks are
 
 is_main_number and enumerate_main_numbers pause the cyclic garbage
 collector for their whole call and restore its state after, so it does
-not re-walk a memo that grows to hundreds of thousands of entries.  That
+not re-walk a memo that grows past a hundred thousand entries.  That
 is safe: a value only refers to values built before it, so values and
 memo tables are acyclic, and lub.sample_and_infer keeps no refused run's
 traceback, so a report leaves no cyclic garbage.  A report frees its memo
@@ -94,6 +97,8 @@ def candidate_lattice(
     """
     for name, v in (("depth", depth), ("coeff", coeff), ("terms", terms)):
         check_natural(v, f"lattice {name}", 1)
+    if not (bound is None or isinstance(bound, Ordinal)):
+        raise OrdinalDomainError(f"lattice bound must be an Ordinal, got {bound!r}")
     lattice = _lattice(depth, coeff, terms, LATTICE_CAP)
     return list(lattice if bound is None else lattice[: bisect_right(lattice, bound)])
 
@@ -149,9 +154,18 @@ def is_main_number(
         check_natural(i, "operation index", 1)
         if not isinstance(delta, Ordinal) or delta.is_zero:
             raise OrdinalDomainError(f"candidate must be an Ordinal > 0, got {delta!r}")
-        depth, coeff, terms = lattice_spec
-        entries = candidate_lattice(depth, coeff, terms)
+        entries = candidate_lattice(*_spec(lattice_spec))
         return _classify(i, delta, entries, budget, Memo())
+
+
+def _spec(lattice_spec) -> Tuple[int, int, int]:
+    try:
+        depth, coeff, terms = lattice_spec
+    except (TypeError, ValueError):
+        raise OrdinalDomainError(
+            f"lattice_spec must be (depth, coeff, terms), got {lattice_spec!r}"
+        ) from None
+    return depth, coeff, terms
 
 
 @contextlib.contextmanager
@@ -187,10 +201,11 @@ def _classify(
             return True
 
     def resumes(alpha: Ordinal, beta: Ordinal) -> bool:
-        # A refused synth keeps the samples it finished in the memo, so a
-        # retry resumes it.  Retry while each refusal grows the memo.  That
-        # ends: each retry adds an entry, and one probe's sub-evaluations
-        # are finite, a well-founded recursion over at most sup_samples + 2
+        # A refused synth keeps the _eval results it finished in the memo,
+        # so a retry resumes from them; chained samples are built again.
+        # Retry while each refusal grows the memo.  That ends: each retry
+        # adds an entry or raises, and one probe's sub-evaluations are
+        # finite, a well-founded recursion over at most sup_samples + 2
         # points per supremum.
         size = None
         while True:
@@ -353,8 +368,8 @@ def enumerate_main_numbers(
         if not isinstance(bound, Ordinal) or bound.is_zero:
             raise OrdinalDomainError(f"bound must be an Ordinal > 0, got {bound!r}")
         budget = budget or DEFAULT_BUDGET
-        depth, coeff, terms = lattice_spec
-        entries = candidate_lattice(depth, coeff, terms, bound=bound)
+        spec = _spec(lattice_spec)
+        entries = candidate_lattice(*spec, bound=bound)
         candidates = [x for x in entries if not x.is_zero]
 
         memo = Memo()
@@ -382,7 +397,7 @@ def enumerate_main_numbers(
         return MainNumberReport(
             op_index=i,
             bound=bound,
-            lattice_spec=(depth, coeff, terms),
+            lattice_spec=spec,
             budget=budget,
             candidates_scanned=len(candidates),
             confirmed=tuple(confirmed),

@@ -52,10 +52,11 @@ class Memo(dict):
     """A memo to share across synth calls made with one budget.
 
     Its items are the tables memo[n, alpha][beta], naive_ext's at level
-    -n.  points, not an item, maps each limit sampled to its sample
-    points; the one-budget rule covers it too, so it is keyed by the
-    limit alone.  A plain dict works as a memo, taking its points from
-    lub's process-wide LRU; a Memo's points live and die with it.
+    -n; _eval and _naive are their only writers.  points, not an item,
+    maps each limit sampled to its sample points; the one-budget rule
+    covers it too, so it is keyed by the limit alone.  A plain dict works
+    as a memo, taking its points from lub's process-wide LRU; a Memo's
+    points live and die with it.
     """
 
     __slots__ = ("points",)
@@ -91,9 +92,12 @@ def synth(
     A caller may pass a shared ``memo`` dict to reuse sub-results across
     calls; only share one between calls made with the same budget.  It
     holds one table per (level, alpha): the value of synth(n, alpha,
-    beta) is at memo[n, alpha][beta].  A Memo also keeps the sample
-    points of every limit its calls sample, so each limit's are built
-    once per memo, not on every miss of lub's 256-entry LRU.
+    beta) is at memo[n, alpha][beta], as is each value the call evaluated
+    on the way.  The samples w^g*k (k >= 2) of a supremum at levels 2
+    and 3 are built along a chain instead, and the memo does not keep
+    them.  A Memo also keeps the sample points of every limit its calls
+    sample, so each limit's are built once per memo, not on every miss
+    of lub's 256-entry LRU.
     """
     # One test on the common path; _check_args raises the error, if any.
     if not (type(n) is int and n > 0 and type(alpha) is Ordinal and type(beta) is Ordinal):
@@ -140,15 +144,18 @@ def _sup(ctx: Meter, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordina
     The chain charges what the fold charges, in one Meter.step at the
     sample's own depth: one step for the sample plus the level-1 run's
     (k-1).bit_length() at level 2, one step for the sample plus one for
-    the closed power at level 3.  Memo entries and the size check are
-    those of _eval, so budgets refuse exactly the same samples.  The
-    level-3 fold's power refuses a non-principal H^(k-1) once k - 1
-    exceeds max_bits; past that point the sample takes the fold.
+    the closed power at level 3.  The size check is _eval's too, so
+    budgets refuse exactly the same samples.  A chained sample lives only
+    in its chain, not in the memo, so re-sampling one on a shared memo,
+    as a retry of a refused call does, is charged again.  The level-3
+    fold's power refuses a non-principal H^(k-1) once k - 1 exceeds
+    max_bits; past that point the sample takes the fold.
 
     k is the sample's position: sample_and_infer hands out 0, 1, then
     lam[k] = w^g*k for k = 0, 1, 2, ..., stopping at the first refusal, so
     sample w^g (k = 1) has fetched the chain before any k >= 2 reads it.
-    Every sample reads the memo table first; only a miss is evaluated.
+    Every sample reads the memo table first, since _eval may have stored
+    it (a probe of w^g*k, say); only a miss is evaluated or chained.
 
     Level 5 and up need no chain: the fold combines through the memoized
     _eval, so only one evaluation per sample is new.  Level 4 combines
@@ -180,7 +187,6 @@ def _sup(ctx: Meter, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordina
                     chain[j + 1] = op(chain[1], chain[j])
                 value = chain[k]
                 ctx.check_size(value)
-                table[gamma] = value
         if k == 1:
             chain = _shared(_chain, n, value)
         return value

@@ -65,6 +65,10 @@ class TestCandidateLattice:
             with pytest.raises(OrdinalDomainError):
                 candidate_lattice(**kw)
 
+    def test_bound_must_be_an_ordinal(self):
+        with pytest.raises(OrdinalDomainError, match=r"^lattice bound must be an Ordinal, got 3$"):
+            candidate_lattice(bound=3)
+
     def test_runaway_spec_is_capped(self, monkeypatch):
         built = []
         monkeypatch.setattr(mains, "Ordinal", lambda terms: built.append(terms) or Ordinal(terms))
@@ -203,6 +207,11 @@ class TestIsMainNumber:
         with pytest.raises(OrdinalDomainError):
             is_main_number(0, W, budget=B)
 
+    @pytest.mark.parametrize("spec", [(3, 5), (3, 5, 1, 1)], ids=["two", "four"])
+    def test_lattice_spec_has_three_entries(self, spec):
+        with pytest.raises(OrdinalDomainError, match=r"^lattice_spec must be \(depth, coeff, terms\)"):
+            is_main_number(1, W, spec, B)
+
 
 class TestEnumerate:
     def test_additive_mains_below_w5(self):
@@ -270,6 +279,11 @@ class TestEnumerate:
     def test_index_validation(self):
         with pytest.raises(OrdinalDomainError):
             enumerate_main_numbers(0, W, budget=B)
+
+    @pytest.mark.parametrize("spec", [(3, 5), (3, 5, 1, 1)], ids=["two", "four"])
+    def test_lattice_spec_has_three_entries(self, spec):
+        with pytest.raises(OrdinalDomainError, match=r"^lattice_spec must be \(depth, coeff, terms\)"):
+            enumerate_main_numbers(1, W, spec, B)
 
     @pytest.mark.parametrize("bound", [ZERO, 5], ids=["zero", "not-an-ordinal"])
     def test_bound_must_be_a_positive_ordinal(self, bound):
@@ -659,7 +673,7 @@ class TestSearch:
         assert report.pairs_skipped == 0
         assert len(memos) == 566
         assert type(memos[0]) is Memo
-        assert sum(map(len, memos[0].values())) == 66166
+        assert sum(map(len, memos[0].values())) == 4908
 
     def test_a_warm_memo_never_changes_a_value(self):
         # The search retries a refused probe on the memo the refusal grew,
@@ -753,8 +767,35 @@ def test_shared_memo_holds_one_table_per_level_and_alpha(monkeypatch):
     assert all(m is memo for m in memos)
     assert type(memo) is Memo and len(memo.points) == 285
     assert len(memo) == 18
-    assert sum(map(len, memo.values())) == 7247
+    assert sum(map(len, memo.values())) == 1376
     for key, table in memo.items():
         level, alpha = key
         assert type(level) is int and level in (2, 3) and isinstance(alpha, Ordinal)
         assert all(isinstance(beta, Ordinal) for beta in table)
+
+
+def test_every_memo_entry_is_a_value_eval_stored(monkeypatch):
+    # synthesis._eval is the one writer of the memo tables: the samples
+    # w^g*k that _sup takes from a chain live only in the chain.
+    real, stored, memos = synthesis._eval, {}, []
+
+    def storing(ctx, n, alpha, beta, depth):
+        missed = beta not in ctx.memo.get((n, alpha), ())
+        value = real(ctx, n, alpha, beta, depth)
+        if missed:
+            stored[n, alpha, beta] = value
+        return value
+
+    def recording(i, alpha, beta, budget, memo):
+        memos.append(memo)
+        return synth(i, alpha, beta, budget, memo=memo)
+
+    monkeypatch.setattr(synthesis, "_eval", storing)
+    monkeypatch.setattr(mains, "synth", recording)
+    enumerate_main_numbers(2, pow_(W, pow_(W, nat(3), B), B))
+    entries = {
+        (level, alpha, beta): value
+        for (level, alpha), table in memos[0].items()
+        for beta, value in table.items()
+    }
+    assert entries and entries.items() <= stored.items()
