@@ -27,6 +27,7 @@ from .ordinal import (
     is_limit,
     limit_and_finite_parts,
     omega_power,
+    order_key,
 )
 
 
@@ -37,11 +38,11 @@ def add(x: Ordinal, y: Ordinal) -> Ordinal:
     if x is ZERO:
         return y
     (d, c0), rest = y.terms[0], y.terms[1:]
-    # Values are interned and ordered by their term tuples.
+    # Values are interned, and their order keys compare in C.
     for i, (e, c) in enumerate(x.terms):
         if e is d:
             return _ord(x.terms[:i] + ((d, c + c0),) + rest)
-        if e.terms < d.terms:
+        if order_key(e) < order_key(d):
             return _ord(x.terms[:i] + y.terms)
     return _ord(x.terms + y.terms)
 

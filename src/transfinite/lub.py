@@ -23,10 +23,13 @@ last three rules applies, so a rule whose sub-inference gives None gives
 None for that run; only classify_lub raises NoPatternError, with the
 samples.
 
-The rule search reads term tuples, not Ordinals: tuple order is the order
-of the values, a peeled remainder is a slice, and interned exponents compare
-by identity; only the answer is built.  sample_and_infer keeps each sample's
-height as it arrives, and its in-flight tower check reads the last four.
+classify_lub finds the increasing tail and the maximum by the samples'
+order keys (see ordinal), so those comparisons stay in C.  The rule search
+reads term tuples, not Ordinals: a peeled remainder is a slice, and
+interned exponents and leading terms are told apart by identity, so it
+makes no order comparison of values; only the answer is built.
+sample_and_infer's in-flight tower check reads the heights of the last
+four samples as each arrives.
 Sample points come from a 256-entry LRU shared across evaluations; it
 holds each interned limit it keys on, so no key goes stale.  An
 evaluation on a synthesis.Memo keeps its points in the memo's own table
@@ -59,7 +62,8 @@ from .arithmetic import add
 from .budget import Meter
 from .errors import BudgetExceeded, NoPatternError, NotRepresentable
 from .ordinal import (
-    ZERO, ONE, Ordinal, _ord, cnf_height, fundamental_prefix, omega_power, successor,
+    ZERO, ONE, Ordinal, _ord, cnf_height, fundamental_prefix, omega_power, order_key,
+    successor,
 )
 
 _TERMS = attrgetter("terms")
@@ -84,14 +88,14 @@ def classify_lub(samples: Sequence[Ordinal]) -> Tuple[Ordinal, LubInference]:
         raise NoPatternError(f"need at least 3 samples, got {len(samples)}", samples)
 
     if samples[-1] is samples[-2] is samples[-3]:
-        return max(samples, key=_TERMS), LubInference.CONSTANT_TAIL
+        return max(samples, key=order_key), LubInference.CONSTANT_TAIL
 
-    # TOWER_GROWTH.  By induction on the leading exponent, a <= b implies
-    # cnf_height(a) <= cnf_height(b), so climbing heights are climbing
-    # values, and no window of the tail reads a value from them: a shared
-    # prefix or a fixed leading exponent means equal heights, and the
-    # exponents climb too.  With a == 0 the tail's leading zero is dropped,
-    # and two values are too few for a trend ([0, 1, w] has no pattern).
+    # TOWER_GROWTH.  Height grows weakly with value (see ordinal), so
+    # climbing heights are climbing values, and no window of the tail
+    # reads a value from them: a shared prefix or a fixed leading exponent
+    # means equal heights, and the exponents climb too.  With a == 0 the
+    # tail's leading zero is dropped, and two values are too few for a
+    # trend ([0, 1, w] has no pattern).
     a, b, c = cnf_height(samples[-3]), cnf_height(samples[-2]), cnf_height(samples[-1])
     if 0 < a < b < c:
         raise NotRepresentable(
@@ -99,16 +103,16 @@ def classify_lub(samples: Sequence[Ordinal]) -> Tuple[Ordinal, LubInference]:
         )
 
     # Everything else needs a strictly increasing tail to read a trend from.
-    run = tuple(map(_TERMS, samples))
-    i = len(run) - 1
-    while i > 0 and run[i - 1] < run[i]:
+    keys = list(map(order_key, samples))
+    i = len(keys) - 1
+    while i > 0 and keys[i - 1] < keys[i]:
         i -= 1
-    found = _infer_increasing(run[i:])
+    found = _infer_increasing(tuple(map(_TERMS, samples[i:])))
     if found is None:
         raise NoPatternError("samples match no growth rule", samples)
     value, rule = found
     # sup(all) = max(sup(tail), the samples before the tail).
-    return max([value, *samples[:i]], key=_TERMS), rule
+    return max([value, *samples[:i]], key=order_key), rule
 
 
 @functools.lru_cache(maxsize=256)
@@ -238,8 +242,8 @@ def sample_and_infer(
             except (NotRepresentable, NoPatternError):
                 raise cut from None
         samples.append(x)
-        if len(samples) >= 6 and (samples[-4]._height < samples[-3]._height
-                                  < samples[-2]._height < x._height):
+        if len(samples) >= 6 and (samples[-4]._key[0] < samples[-3]._key[0]
+                                  < samples[-2]._key[0] < x._key[0]):
             classify_lub(samples)  # its tower test fires: raises NotRepresentable
     try:
         return infer_lub(samples)

@@ -53,12 +53,13 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from operator import attrgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .budget import DEFAULT_BUDGET, EvalBudget
 from .errors import BudgetExceeded, NotRepresentable, OrdinalDomainError
-from .ordinal import OMEGA, ZERO, Ordinal, check_natural, from_natural, omega_power
+from .ordinal import (
+    OMEGA, ZERO, Ordinal, check_natural, from_natural, omega_power, order_key,
+)
 from .synthesis import Memo, synth
 
 __all__ = [
@@ -100,7 +101,9 @@ def candidate_lattice(
     if not (bound is None or isinstance(bound, Ordinal)):
         raise OrdinalDomainError(f"lattice bound must be an Ordinal, got {bound!r}")
     lattice = _lattice(depth, coeff, terms, LATTICE_CAP)
-    return list(lattice if bound is None else lattice[: bisect_right(lattice, bound)])
+    if bound is not None:
+        lattice = lattice[: bisect_right(lattice, order_key(bound), key=order_key)]
+    return list(lattice)
 
 
 @lru_cache(maxsize=1)
@@ -113,16 +116,15 @@ def _lattice(depth: int, coeff: int, terms: int, cap: int) -> Tuple[Ordinal, ...
         fresh = sum(math.comb(len(pool), r) * coeff**r for r in range(1, terms + 1))
         if 1 + fresh > cap:
             raise BudgetExceeded(f"candidate lattice exceeds {cap} entries")
-        # exponents are sorted descending, so each combo already is;
-        # tuple order on terms is the value order
-        exponents = sorted(pool, key=attrgetter("terms"), reverse=True)
+        # exponents are sorted descending, so each combo already is
+        exponents = sorted(pool, key=order_key, reverse=True)
         pool = [ZERO] + [
             Ordinal(tuple(zip(combo, coeffs)))
             for r in range(1, terms + 1)
             for combo in itertools.combinations(exponents, r)
             for coeffs in itertools.product(range(1, coeff + 1), repeat=r)
         ]
-    return tuple(sorted(pool, key=attrgetter("terms")))
+    return tuple(sorted(pool, key=order_key))
 
 
 Pair = Tuple[Ordinal, Ordinal]
@@ -190,13 +192,13 @@ def _classify(
     memo: Memo,
     hint: Optional[Ordinal] = None,
 ) -> MainVerdict:
-    top = delta.terms  # term tuple order is value order
-    below = entries[: bisect_left(entries, top, key=attrgetter("terms"))]
+    top = order_key(delta)
+    below = entries[: bisect_left(entries, top, key=order_key)]
 
     def escapes(alpha: Ordinal, beta: Ordinal) -> bool:
         # Not representable means >= epsilon_0 > delta; a refusal propagates.
         try:
-            return synth(i, alpha, beta, budget, memo=memo).terms >= top
+            return order_key(synth(i, alpha, beta, budget, memo=memo)) >= top
         except NotRepresentable:
             return True
 

@@ -8,15 +8,25 @@ lexicographic order on term lists.
 Values are immutable and interned (hash-consed): every value is built by
 `_ord`, which returns the one live object for its term tuple, so equal
 ordinals are the same object, `==` is `is`, and values hash by identity.
-The CNF height and the widest coefficient's bit length are set once, when a
-value is first built; a value taller than MAX_HEIGHT is refused with
-BudgetExceeded.  `terms` is a plain slot, read-only by convention.
-Naturals are plain Python ints (arbitrary precision).
+`terms` is a plain slot, read-only by convention.
+
+Each value's order key is built once, when the value is first built: the
+flat tuple (height, key(e1), c1, key(e2), c2, ...) of ints and the
+exponents' own keys.  Tuple order on keys is the value order, and comparing
+two keys never calls back into Python; every order test reads the key
+through order_key.  Height may lead because a <= b implies
+cnf_height(a) <= cnf_height(b), by induction on the leading exponent
+(lub's tower rule relies on it too); equal heights fall through to the
+lexicographic term order.  Keys are never hashed: a key's hash walks the
+whole tree.  The height and the widest coefficient's bit length are set at
+the same time; a value taller than MAX_HEIGHT is refused with
+BudgetExceeded.  Naturals are plain Python ints (arbitrary precision).
 """
 
 from __future__ import annotations
 
 import weakref
+from operator import attrgetter
 from typing import Iterable, List, Tuple
 
 from .errors import BudgetExceeded, OrdinalDomainError
@@ -27,7 +37,7 @@ Natural = int
 class Ordinal:
     """An ordinal below epsilon_0 in Cantor normal form."""
 
-    __slots__ = ("terms", "_height", "_bits", "__weakref__")
+    __slots__ = ("terms", "_key", "_bits", "__weakref__")
 
     def __new__(cls, terms: Iterable[Tuple["Ordinal", int]] = ()):
         terms = tuple(terms)
@@ -36,7 +46,7 @@ class Ordinal:
             if not isinstance(exp, Ordinal):
                 raise OrdinalDomainError(f"exponent must be an Ordinal, got {exp!r}")
             check_natural(coeff, "coefficient", 1)
-            if prev is not None and compare(prev, exp) <= 0:
+            if prev is not None and order_key(prev) <= order_key(exp):
                 raise OrdinalDomainError("exponents must be strictly decreasing")
             prev = exp
         return _ord(terms)
@@ -75,22 +85,22 @@ class Ordinal:
     def __lt__(self, other) -> bool:
         if not isinstance(other, Ordinal):
             return NotImplemented
-        return self.terms < other.terms
+        return order_key(self) < order_key(other)
 
     def __le__(self, other) -> bool:
         if not isinstance(other, Ordinal):
             return NotImplemented
-        return self is other or self.terms < other.terms
+        return order_key(self) <= order_key(other)
 
     def __gt__(self, other) -> bool:
         if not isinstance(other, Ordinal):
             return NotImplemented
-        return self.terms > other.terms
+        return order_key(self) > order_key(other)
 
     def __ge__(self, other) -> bool:
         if not isinstance(other, Ordinal):
             return NotImplemented
-        return self is other or self.terms > other.terms
+        return order_key(self) >= order_key(other)
 
     # -- rendering ---------------------------------------------------------
 
@@ -122,14 +132,18 @@ class Ordinal:
         return f"<Ordinal {self}>"
 
 
+# The order key of a value; see the module docstring.
+order_key = attrgetter("_key")
+
+
 def compare(x: Ordinal, y: Ordinal) -> int:
     """Three-way comparison: -1, 0, or 1.
 
     CNF order is lexicographic on (exponent, coefficient) term lists, a
-    missing term counting as smaller: tuple order on `terms`, which skips
-    equal terms in C and recurses only into a differing exponent.
+    missing term counting as smaller: tuple order on the order keys, all
+    in C.
     """
-    return 0 if x is y else -1 if x.terms < y.terms else 1
+    return 0 if x is y else -1 if order_key(x) < order_key(y) else 1
 
 
 class _Ref(weakref.ref):
@@ -157,21 +171,23 @@ def _ord(terms) -> Ordinal:
     o = ref() if ref is not None else None
     if o is None:
         # Height grows with value, so the leading exponent is the tallest.
-        height = 1 + terms[0][0]._height if terms else 0
+        height = 1 + terms[0][0]._key[0] if terms else 0
         if height > MAX_HEIGHT:
             raise BudgetExceeded(
                 f"a height-{height} normal form exceeds the {MAX_HEIGHT}-level cap")
         o = object.__new__(Ordinal)
         o.terms = terms
-        o._height = height
+        key = [height]
         bits = 0
         for e, c in terms:
+            key += (e._key, c)
             b = c.bit_length()
             if b > bits:
                 bits = b
             b = e._bits
             if b > bits:
                 bits = b
+        o._key = tuple(key)
         o._bits = bits
         ref = _TABLE[terms] = _Ref(o, _drop)
         ref.key = terms
@@ -281,4 +297,4 @@ def cnf_height(x: Ordinal) -> Natural:
     so on; unbounded height along an increasing sequence forces the
     supremum up to epsilon_0.  No value is taller than MAX_HEIGHT.
     """
-    return x._height
+    return x._key[0]

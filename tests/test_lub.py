@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ordinals
-from support import W, nat, rand_below_w_w, reference_classify, reference_sample_and_infer
+from support import (
+    W, nat, rand_below_w_w, reference_classify, reference_compare, reference_sample_and_infer,
+)
 
-from transfinite import lub, ordinal, synthesis
+from transfinite import lub, mains, ordinal, synthesis
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget, Meter
 from transfinite.errors import BudgetExceeded, NoPatternError, NotRepresentable
@@ -698,3 +700,26 @@ class TestRuleCache:
         gc.collect()
         assert all(r() is None for r in refs)
         assert not any(k in ordinal._TABLE for k in keys)
+
+
+class TestOrderKeys:
+    def test_sampled_path_makes_no_python_level_comparisons(self, monkeypatch):
+        # The tail scan, both maxima and the lattice's sorts compare order
+        # keys, tuples of ints and tuples, so no comparison calls back into
+        # Ordinal's operators, even where two exponents differ.
+        def refuse(self, other):
+            raise AssertionError(f"a Python-level comparison of {self} and {other}")
+
+        climbing = [ZERO, ONE, *(omega_power(nat(k)) for k in range(2, 10))]
+        tail = add(W3, W)
+        constant = [ZERO, ONE, WW, W3, tail, tail, tail]
+        lub._infer_increasing.cache_clear()
+        mains._lattice.cache_clear()
+        for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(ordinal.Ordinal, op, refuse)
+        assert classify_lub(climbing) == (WW, LubInference.EXPONENT_GROWTH)
+        assert classify_lub(constant) == (WW, LubInference.CONSTANT_TAIL)
+        lattice = mains.candidate_lattice(2, 3, 2)
+        monkeypatch.undo()
+        assert len(lattice) == 67
+        assert all(reference_compare(a, b) < 0 for a, b in zip(lattice, lattice[1:]))

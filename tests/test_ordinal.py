@@ -41,6 +41,7 @@ from transfinite.ordinal import (
     is_successor,
     limit_and_finite_parts,
     omega_power,
+    order_key,
     predecessor,
     successor,
 )
@@ -230,16 +231,14 @@ class TestOrder:
             1 >= OMEGA
 
     def test_towers_of_height_200(self):
-        # Tuple order recurses about four interpreter levels per nesting
-        # level; two towers that differ only at the top take the deepest
-        # path.  At the height cap every walk of a value fits the stack.
+        # Order keys nest one tuple per nesting level; two towers that
+        # differ only at the top take the deepest path.  At the height cap
+        # every walk of a value fits the stack.
         low, high = _tower(nat(2), 199), _tower(nat(3), 199)
         assert cnf_height(low) == cnf_height(high) == MAX_HEIGHT == 200
-        assert compare(low, high) == -1 and compare(high, low) == 1
-        assert low < high and low <= high and high > low and high >= low
-        assert not high < low and low <= low and high >= high
+        for a, b in ((low, high), (high, low), (low, low), (high, high)):
+            _assert_order_agrees(a, b)
         assert sorted([high, low, high]) == [low, high, high]
-        assert max(low, high) is high and max(high, low) is high
         text = str(high)
         assert text.startswith("w^(" * 198 + "w^3") and format_ordinal(high) == text
         assert json.loads(format_ordinal(high, "json"))["terms"][0]["coeff"] == "1"
@@ -278,6 +277,9 @@ def _tower(base, n):
 def _assert_order_agrees(x, y):
     want = reference_compare(x, y)
     assert compare(x, y) == want, (x, y)
+    kx, ky = order_key(x), order_key(y)
+    assert (kx > ky) - (kx < ky) == want, (x, y)
+    assert (kx[0], ky[0]) == (_height(x), _height(y)), (x, y)
     assert (x < y, x <= y, x > y, x >= y) == (want < 0, want <= 0, want > 0, want >= 0), (x, y)
     assert sorted([x, y]) == ([y, x] if want > 0 else [x, y])
     assert max(x, y) is (x if want >= 0 else y)
