@@ -86,18 +86,23 @@ class Meter:
     """The context of one evaluation: its budget, work counter and memo.
 
     DEFAULT_BUDGET applies when none is given, and a fresh memo
-    unless one is passed to share.  Evaluators run through run(), call
-    step() for one or more units of work at one depth and check_size()
-    on each value they produce.  sample_and_infer gives a refused
-    sample's work back, and takes its sample points from points, the
-    memo's point table when the memo is a synthesis.Memo and None when
-    it is a plain dict.  Caps are copied from the budget once.
+    unless one is passed to share.  shared tells the two apart: only a
+    memo passed in can hold entries the evaluation did not store itself,
+    so synthesis._sup's chained route looks its samples up only there.
+    Evaluators run through run(), call step() for one or more
+    units of work at one depth and check_size() on each value they
+    produce.  sample_and_infer gives a refused sample's work back, and
+    takes its sample points from points, the memo's point table when
+    the memo is a synthesis.Memo and None when it is a plain dict.  Caps
+    are copied from the budget once.
     """
 
-    __slots__ = ("budget", "memo", "points", "work", "max_depth", "max_work", "max_bits")
+    __slots__ = ("budget", "memo", "shared", "points", "work",
+                 "max_depth", "max_work", "max_bits")
 
     def __init__(self, budget: Optional[EvalBudget] = None, memo: Optional[dict] = None):
         self.budget = budget = budget or DEFAULT_BUDGET
+        self.shared = memo is not None
         self.memo = {} if memo is None else memo
         self.points = getattr(memo, "points", None)
         self.work = 0

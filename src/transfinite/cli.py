@@ -51,7 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built on the first call and shared after it.
 
     main parses every command with this one object, so callers must not
-    add to it or change it.
+    add to it or change it.  Building it leaves cyclic garbage once per
+    process: argparse (3.11) makes a HelpFormatter in every add_argument
+    call to check the metavar, and each one is a cycle with its _Section
+    (109 objects for this parser).  After that, a command leaves none,
+    refused or not, except an argparse usage error, whose usage message
+    is printed through one more such formatter (6 objects on 3.11).
     """
     ap = argparse.ArgumentParser(
         prog="transfinite",

@@ -35,6 +35,10 @@ holds each interned limit it keys on, so no key goes stale.  An
 evaluation on a synthesis.Memo keeps its points in the memo's own table
 as well, filled from the LRU on a miss, so a run of calls that shares
 the memo builds each limit's points once and they die with the memo.
+A caller may pass the points themselves, a tuple, in place of the
+limit; neither table nor LRU sees them.  synthesis._sup's chained route
+does, handing the positions of the samples it reads from a chain in
+place of those points, so they are never built.
 
 The rule search on a strictly increasing run, _infer_increasing, is a
 second 256-entry LRU with no setting, keyed by the run as a tuple of term
@@ -56,7 +60,7 @@ from __future__ import annotations
 import enum
 import functools
 from operator import attrgetter, is_not, lt
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .arithmetic import add
 from .budget import Meter
@@ -188,7 +192,7 @@ def _points(lam: Ordinal, n: int) -> Tuple[Ordinal, ...]:
 
 def sample_and_infer(
     eval_at: Callable[[Ordinal], Ordinal],
-    lam: Ordinal,
+    lam: Union[Ordinal, tuple],
     meter: Meter,
 ) -> Ordinal:
     """Supremum of eval_at over all points below the limit lam.
@@ -198,10 +202,14 @@ def sample_and_infer(
     meter.  The points come unmetered from meter.points, the point table
     of the meter's Memo, keyed by lam alone since a memo is shared under
     one budget; on a miss, or with no table, they come from _points, a
-    256-entry LRU shared across evaluations.  Once the two seed probes
-    have at least four fundamental-sequence values behind them, a check
-    runs after each new sample that only acts when it proves the sup
-    escapes epsilon_0, cutting off ever larger towers early.  Checking
+    256-entry LRU shared across evaluations.  lam may instead be the
+    tuple of what to hand eval_at, in order, taken as it is:
+    synthesis._sup's chained route passes the seeds 0, 1, lam[0] and
+    lam[1], then positions that its eval_at reads in place of points.
+    Once the two seed probes have at least four fundamental-sequence
+    values behind them, a check runs after each new sample that only
+    acts when it proves the sup escapes epsilon_0, cutting off ever
+    larger towers early.  Checking
     sooner would mistake a benign height climb for a tower: the probes 0
     and 1 sit far below any infinite sample, and the first
     fundamental-sequence values of a nested limit climb once or twice
@@ -222,7 +230,9 @@ def sample_and_infer(
     frame keeps the refusal, whose traceback holds eval_at and its memo.
     """
     table = meter.points
-    if table is None:
+    if type(lam) is tuple:
+        points = lam
+    elif table is None:
         points = _points(lam, meter.budget.sup_samples)
     else:
         points = table.get(lam)

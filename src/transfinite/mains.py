@@ -28,8 +28,12 @@ the scan left unsettled, so it is 0 whenever the search decides.
 A refutation's value is the one synth left in the memo, at
 memo[i, alpha][beta]; it is None when not representable.
 
-The shared memo is a synthesis.Memo, so each limit's sample points are
-built once per report and die with the memo.
+The shared memo is a synthesis.Memo, so the sample points of each limit
+sampled at real points, one with a limit exponent, are built once per
+report and die with the memo.  Most of a report's suprema are chained
+(see synthesis._sup) and take no points: each of their samples w^g*k is
+looked up in the shared memo, which holds it only where a probe of
+w^g*k stored it, and otherwise read from the chain.
 
 The reports pair the confirmed infinite mains, in order, against the
 ladder values synth(i+1, w, w^rank), rank = 0, 1, 2, ...  Ranks are

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import weakref
 from operator import attrgetter
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .errors import BudgetExceeded, OrdinalDomainError
 
@@ -192,6 +192,12 @@ def _ord(terms) -> Ordinal:
         ref = _TABLE[terms] = _Ref(o, _drop)
         ref.key = terms
     return o
+
+
+def interned(terms: tuple) -> Optional[Ordinal]:
+    """The live value whose term tuple is terms, or None; builds nothing."""
+    ref = _TABLE.get(terms)
+    return None if ref is None else ref()
 
 
 def check_natural(value, what: str, least: int = 0) -> None:

@@ -32,8 +32,11 @@ from .ordinal import (
     ONE,
     ZERO,
     Ordinal,
+    _ord,
     check_natural,
     from_natural,
+    fundamental_prefix,
+    interned,
     is_additive_principal,
     is_successor,
     limit_and_finite_parts,
@@ -53,10 +56,11 @@ class Memo(dict):
 
     Its items are the tables memo[n, alpha][beta], naive_ext's at level
     -n; _eval and _naive are their only writers.  points, not an item,
-    maps each limit sampled to its sample points; the one-budget rule
-    covers it too, so it is keyed by the limit alone.  A plain dict works
-    as a memo, taking its points from lub's process-wide LRU; a Memo's
-    points live and die with it.
+    maps each limit sampled at real points to those points; the
+    one-budget rule covers it too, so it is keyed by the limit alone.  A
+    chained supremum (see _sup) takes no points, so its limit is not
+    there.  A plain dict works as a memo, taking its points from lub's
+    process-wide LRU; a Memo's points live and die with it.
     """
 
     __slots__ = ("points",)
@@ -71,6 +75,15 @@ class Memo(dict):
 @functools.lru_cache(maxsize=256)
 def _shared(op, *args):
     return op(*args)
+
+
+# What _sup's chained route hands sample_and_infer in place of lam = w^(g+1):
+# the seeds 0, 1, lam[0] = 0 and lam[1] = w^g, then the positions 2, ...,
+# n - 1 of the samples it reads from its chain, so no point w^g*k is built.
+# A 256-entry LRU like lub._points.
+@functools.lru_cache(maxsize=256)
+def _chain_points(lam: Ordinal, n: int) -> tuple:
+    return (ZERO, ONE, *fundamental_prefix(lam, min(n, 2)), *range(2, n))
 
 
 def _chain(n: int, head: Ordinal) -> dict:
@@ -95,9 +108,10 @@ def synth(
     beta) is at memo[n, alpha][beta], as is each value the call evaluated
     on the way.  The samples w^g*k (k >= 2) of a supremum at levels 2
     and 3 are built along a chain instead, and the memo does not keep
-    them.  A Memo also keeps the sample points of every limit its calls
-    sample, so each limit's are built once per memo, not on every miss
-    of lub's 256-entry LRU.
+    them; the chain looks each one up in a memo passed in, so a w^g*k
+    the caller evaluated before is a free hit.  A Memo also keeps the
+    sample points of every other limit its calls sample, so each limit's
+    are built once per memo, not on every miss of lub's 256-entry LRU.
     """
     # One test on the common path; _check_args raises the error, if any.
     if not (type(n) is int and n > 0 and type(alpha) is Ordinal and type(beta) is Ordinal):
@@ -152,10 +166,19 @@ def _sup(ctx: Meter, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordina
     max_bits; past that point the sample takes the fold.
 
     k is the sample's position: sample_and_infer hands out 0, 1, then
-    lam[k] = w^g*k for k = 0, 1, 2, ..., stopping at the first refusal, so
-    sample w^g (k = 1) has fetched the chain before any k >= 2 reads it.
-    Every sample reads the memo table first, since _eval may have stored
-    it (a probe of w^g*k, say); only a miss is evaluated or chained.
+    lam[0] = 0 and lam[1] = w^g, then k itself for k = 2, 3, ... (see
+    _chain_points), stopping at the first refusal, so sample w^g (k = 1)
+    has fetched the chain before any k >= 2 reads it.  No point w^g*k is
+    built for a chained sample.  A seed reads the memo table first; a
+    chained sample reads it only when the caller passed the memo in,
+    since then _eval may have stored w^g*k (a probe of it, say).  It
+    looks the point up with ordinal.interned, which builds nothing: a
+    point that is not alive is no memo key, so every hit, and so every
+    charge, is the one the plain route has.  A fresh memo cannot hold
+    w^g*k while its own call samples: the top-level beta is stored last,
+    and the bit-cap fallback below stores only positions with
+    k - 1 > max_bits, which the chain never reads.  Only a miss is
+    chained.
 
     Level 5 and up need no chain: the fold combines through the memoized
     _eval, so only one evaluation per sample is new.  Level 4 combines
@@ -170,28 +193,37 @@ def _sup(ctx: Meter, n: int, alpha: Ordinal, lam: Ordinal, depth: int) -> Ordina
         return sample_and_infer(lambda gamma: _eval(ctx, n, alpha, gamma, depth), lam, ctx)
     table = ctx.memo[n, alpha]  # made by the _eval that called _sup
     op = add if n == 2 else mul
+    shared = ctx.shared
     k = -3  # the sample's position: 0 and 1 at -2 and -1, then lam[k]
-    chain = None  # sample w^g*k at chain[k], set at sample w^g
+    g = chain = None  # w^g's exponent, and sample w^g*k at chain[k]; set at w^g
 
-    def eval_at(gamma: Ordinal) -> Ordinal:
-        nonlocal k, chain
+    def eval_at(gamma) -> Ordinal:
+        nonlocal k, g, chain
         k += 1
-        value = table.get(gamma)
-        if value is None:
-            if k < 2 or (n == 3 and k - 1 > ctx.max_bits):
+        if k < 2:
+            value = table.get(gamma)
+            if value is None:
                 value = _eval(ctx, n, alpha, gamma, depth)
-            else:
-                ctx.step(depth, 1 + (k - 1).bit_length() if n == 2 else 2)
-                while len(chain) < k:
-                    j = len(chain)
-                    chain[j + 1] = op(chain[1], chain[j])
-                value = chain[k]
-                ctx.check_size(value)
-        if k == 1:
-            chain = _shared(_chain, n, value)
+            if k == 1:
+                g = gamma.terms[0][0]
+                chain = _shared(_chain, n, value)
+            return value
+        # gamma is k; the point w^g*k is built only for the fold.
+        if n == 3 and k - 1 > ctx.max_bits:
+            return _eval(ctx, n, alpha, _ord(((g, k),)), depth)
+        if shared:
+            value = table.get(interned(((g, k),)))
+            if value is not None:
+                return value
+        ctx.step(depth, 1 + (k - 1).bit_length() if n == 2 else 2)
+        while len(chain) < k:
+            j = len(chain)
+            chain[j + 1] = op(chain[1], chain[j])
+        value = chain[k]
+        ctx.check_size(value)
         return value
 
-    return sample_and_infer(eval_at, lam, ctx)
+    return sample_and_infer(eval_at, _chain_points(lam, ctx.budget.sup_samples), ctx)
 
 
 def _fold(ctx: Meter, n: int, alpha: Ordinal, beta: Ordinal, depth: int) -> Ordinal:

@@ -197,9 +197,13 @@ def reference_sample_and_infer(eval_at, lam, meter) -> Ordinal:
 
     The definition `sample_and_infer` is checked against: the same value,
     or the same exception with the same samples, the same work left on
-    the meter, and the same points handed to eval_at.
+    the meter, and the same points handed to eval_at.  As there, lam may
+    be a tuple of what to hand eval_at instead of a limit.
     """
-    gammas = [ZERO, ONE] + fundamental_prefix(lam, meter.budget.sup_samples)
+    if type(lam) is tuple:
+        gammas = list(lam)
+    else:
+        gammas = [ZERO, ONE] + fundamental_prefix(lam, meter.budget.sup_samples)
     samples = []
     cut = None
     for g in gammas:

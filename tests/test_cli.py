@@ -289,6 +289,31 @@ class TestMains:
             if collecting:
                 gc.enable()
 
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(["eval", "w^(w+1)*3 + 5"], 0, id="eval"),
+        pytest.param(["cmp", "w*2", "w+w"], 0, id="cmp"),
+        pytest.param(["table", "--op", "H", "--index", "2", "--rows", "3", "--cols", "3"], 0,
+                     id="table"),
+        pytest.param(["mains", "--index", "1", "--bound", "w^2"], 0, id="mains"),
+        pytest.param(["eval", "1 +"], 2, id="exit-2"),
+        pytest.param(["eval", "H(3,3,20000)"], 3, id="exit-3"),
+        pytest.param(["eval", "S(4,w,w)"], 4, id="exit-4"),
+    ])
+    def test_a_command_after_the_first_leaves_no_cyclic_garbage(self, argv, code):
+        # Only building the shared parser leaves cycles (argparse's metavar
+        # checks, see build_parser), so it is built first.
+        cli.build_parser()
+        gc.collect()
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(argv) == code
+            assert gc.collect() == 0
+        finally:
+            if collecting:
+                gc.enable()
+
     def test_lattice_past_the_interpreter_stack_exits_as_budget(self, capsys):
         # Sorting height-400 towers compares past the stack outside compare.
         code, out, err = run(capsys, ["mains", "--index", "1", "--bound", "1",

@@ -28,7 +28,7 @@ from transfinite.lub import (
 )
 from transfinite.mains import enumerate_main_numbers
 from transfinite.ordinal import (
-    ONE, ZERO, cnf_height, fundamental_prefix, omega_power, successor,
+    ONE, ZERO, Ordinal, cnf_height, fundamental_prefix, omega_power, successor,
 )
 
 B = EvalBudget()
@@ -449,7 +449,8 @@ def eval_tables(draw):
     unless faults maps k to an exception type, which it raises instead.
     Value runs are arbitrary, sorted, growing, or w-towers after a few
     arbitrary leads (climbing heights); a run shorter than the table
-    repeats its last value.
+    repeats its last value.  lam is a limit, or what synthesis's chained
+    route hands over in its place: the seeds, then positions.
     """
     budget = EvalBudget(max_depth=1, sup_samples=draw(st.integers(1, 10)))
     n = budget.sup_samples + 2
@@ -463,7 +464,10 @@ def eval_tables(draw):
     # Steps past the 256-step cap of max_depth=1 make the meter refuse.
     steps = draw(st.lists(st.integers(0, 2) | st.integers(20, 90), min_size=n, max_size=n))
     faults = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(FAULTS), max_size=2))
-    return budget, draw(st.sampled_from(LIMITS)), values, steps, faults
+    lam = draw(st.sampled_from(LIMITS))
+    if draw(st.booleans()):
+        lam = (ZERO, ONE, *fundamental_prefix(lam, min(n - 2, 2)), *range(2, n - 2))
+    return budget, lam, values, steps, faults
 
 
 def _sample_outcome(sup, table):
@@ -519,12 +523,14 @@ class _LubCalls:
     classified holds (samples, in_flight) per classify_lub call, with
     in_flight False when infer_lub made the call.  sup() runs
     sample_and_infer and appends (infer_lub calls it made, returned) to
-    sups; infer_lub is called at the end of its run, after any nested
+    sups, and what it was handed in place of a limit, if anything, to
+    handed; infer_lub is called at the end of its run, after any nested
     supremum has closed, so the innermost open run is the caller.
     """
 
     def __init__(self, monkeypatch):
         self.classified, self.sups, self.open, self.inferring = [], [], [], 0
+        self.handed = []
         classify, infer = lub.classify_lub, lub.infer_lub
 
         def counting_infer(samples):
@@ -544,6 +550,7 @@ class _LubCalls:
         monkeypatch.setattr(lub, "classify_lub", counting_classify)
 
     def sup(self, eval_at, lam, meter):
+        self.handed.append(lam)
         self.open.append(0)
         returned = False
         try:
@@ -598,6 +605,10 @@ class TestTracedCalls:
                 synthesis.synth(n, alpha, beta, B)
             except (BudgetExceeded, NotRepresentable):
                 pass
+        # Levels 2 and 3 hand a chained supremum's seeds and positions
+        # over in place of its limit; level 4 hands the limit.
+        kinds = {type(lam) for lam in calls.handed}
+        assert kinds == {tuple, Ordinal}
         finished = [count for count, returned in calls.sups if returned]
         assert finished and set(finished) == {1}
         assert all(count <= 1 for count, _ in calls.sups)

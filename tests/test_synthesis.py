@@ -25,8 +25,11 @@ from transfinite.budget import EvalBudget, Meter
 from transfinite.errors import BudgetExceeded, NotRepresentable, OrdinalDomainError
 from transfinite.hyper import hyper
 from transfinite.lub import sample_and_infer
+from transfinite.mains import enumerate_main_numbers
 from transfinite.notation import eval_expr, parse
-from transfinite.ordinal import ONE, ZERO, from_natural, fundamental_prefix, omega_power
+from transfinite.ordinal import (
+    ONE, ZERO, from_natural, fundamental_prefix, is_successor, omega_power, successor,
+)
 from transfinite.synthesis import (
     DistributionCheck,
     Memo,
@@ -155,13 +158,43 @@ def _traced(n, alpha, beta, budget, entry=_eval):
     return value, ctx.work, ctx.memo
 
 
+class _ChainLookups:
+    """Counts the chained route's memo lookups of samples w^g*k (k >= 2),
+    through synthesis.interned, and their hits: a lookup hits when its
+    point is in the table of the innermost open supremum, the one whose
+    eval_at asked."""
+
+    def __init__(self, monkeypatch):
+        self.lookups = self.hits = 0
+        tables = []
+
+        def sup(ctx, n, alpha, lam, depth, real=synthesis._sup):
+            tables.append(ctx.memo[n, alpha])
+            try:
+                return real(ctx, n, alpha, lam, depth)
+            finally:
+                tables.pop()
+
+        def looking_up(terms, real=synthesis.interned):
+            point = real(terms)
+            self.lookups += 1
+            self.hits += point in tables[-1]
+            return point
+
+        monkeypatch.setattr(synthesis, "_sup", sup)
+        monkeypatch.setattr(synthesis, "interned", looking_up)
+
+
 class TestChainedSamples:
     """Samples w^g*k at levels 2 and 3 are built from sample k - 1.
 
     The chain must give what the plain route gives, value, refusal and
     work steps alike, since budgets read all of them.  A chained sample
     lives only in its chain, so the memo holds a subset of the plain
-    route's entries, each with the same value.
+    route's entries, each with the same value.  The chain takes no point
+    w^g*k: it looks one up in a memo the caller passed in, where a hit
+    is as free as on the plain route, and never in a fresh memo, which
+    cannot hold one yet.
     """
 
     def _agree(self, monkeypatch, cases):
@@ -221,6 +254,80 @@ class TestChainedSamples:
             (3, value(a), value(b), EvalBudget(max_bits=bits, sup_samples=16))
             for bits in (1, 2, 3, 4, 6) for a, b in pairs
         ])
+
+    @given(
+        st.sampled_from((2, 3)),
+        ordinals(),
+        st.one_of(ordinals(), ordinals(2).map(lambda g: omega_power(successor(g)))),
+        st.integers(1, 10),
+        st.integers(1, 8),
+    )
+    def test_a_fresh_memo_looks_up_no_chained_sample(self, n, alpha, beta, samples, bits):
+        # On a fresh memo only the top-level beta, stored last, and the
+        # level-3 bit-cap fallback's samples (k - 1 > max_bits, the ones
+        # the chain never reads) could be w^g*k, so the chain does not
+        # look past lam[1]; value and work are still the plain route's.
+        budget = EvalBudget(max_depth=24, max_bits=bits, sup_samples=samples)
+        with pytest.MonkeyPatch.context() as patch:
+            lookups = _ChainLookups(patch)
+            chained = _traced(n, alpha, beta, budget)[:2]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(synthesis, "_sup", _plain_sup)
+            plain = _traced(n, alpha, beta, budget)[:2]
+        assert lookups.lookups == 0
+        assert chained == plain
+
+    @pytest.mark.parametrize("n, alpha, beta, point, work, saved", [
+        (2, "w+1", "w^2", "w*3", 18, 3),
+        (3, "w+2", "w^3", "w^2*5", 11, 2),
+    ])
+    @pytest.mark.parametrize("make_memo", [Memo, dict], ids=["Memo", "dict"])
+    def test_a_sample_the_caller_evaluated_is_a_free_hit(
+        self, monkeypatch, make_memo, n, alpha, beta, point, work, saved
+    ):
+        # The caller evaluates the sample w^g*k first, on the memo it then
+        # shares: the chain finds it, free, as the plain route does.  With
+        # the lookup blinded, the chain charges that sample's steps (at k,
+        # 1 + (k-1).bit_length() at level 2 and 2 at level 3).
+        value = lambda text: eval_expr(parse(text))
+        alpha, beta, point = value(alpha), value(beta), value(point)
+        outcomes = []
+        for route in ("chained", "plain", "blind"):
+            memo = make_memo()
+            synth(n, alpha, point, B, memo=memo)
+            with monkeypatch.context() as patch:
+                if route == "chained":
+                    lookups = _ChainLookups(patch)
+                elif route == "plain":
+                    patch.setattr(synthesis, "_sup", _plain_sup)
+                else:
+                    patch.setattr(synthesis, "interned", lambda terms: None)
+                ctx = Meter(B, memo)
+                outcomes.append((_eval(ctx, n, alpha, beta, 0), ctx.work, memo))
+        (*chained, memo), (*plain, plain_memo), (*blind, _) = outcomes
+        assert chained == plain == [synth(n, alpha, beta, B), work]
+        assert blind == [chained[0], work + saved]
+        assert all(table.items() <= plain_memo[key].items() for key, table in memo.items())
+        assert (lookups.lookups, lookups.hits) == (B.sup_samples - 2, 1)
+
+    def test_chain_points_are_the_seeds_then_the_positions(self):
+        # sample_and_infer hands each entry to eval_at in order: 0, 1,
+        # lam[0] = 0 and lam[1] = w^g, then k for the chained w^g*k.
+        synthesis._chain_points.cache_clear()
+        for g in (ZERO, ONE, W):
+            lam = omega_power(successor(g))
+            for n in (1, 2, 3, 8):
+                want = (ZERO, ONE, ZERO, omega_power(g), *range(2, n))[:n + 2]
+                assert synthesis._chain_points(lam, n) == want
+        info = synthesis._chain_points.cache_info()
+        assert (info.maxsize, info.currsize) == (256, 12)
+
+    def test_the_deep_report_hits_111_of_its_chained_lookups(self, monkeypatch):
+        # The index-2 report below w^(w^3) shares one Memo: 6,030 chained
+        # samples are looked up there, and 111 found, each charged nothing.
+        lookups = _ChainLookups(monkeypatch)
+        enumerate_main_numbers(2, pow_(W, pow_(W, nat(3), B), B), budget=B)
+        assert (lookups.lookups, lookups.hits) == (6030, 111)
 
     @pytest.mark.parametrize("n, alpha, beta, samples, expected, work, entries", [
         (2, "w+1", "w^3", 8, "w^4", 65, 5),
@@ -592,12 +699,18 @@ class TestDomainAndMemo:
     def test_a_memo_matches_a_plain_dict(self, budget, calls):
         # One run of calls on a shared Memo and one on a shared plain dict,
         # under one budget: the Memo's point table moves no value, refusal,
-        # work step or memo entry, and holds each limit's points.
-        meters = []
+        # work step or memo entry, and holds the points of exactly the
+        # limits sampled at real points: those of levels 4 and up and of
+        # limit exponents.  A chained supremum takes no points from it.
+        meters, sups = [], []
 
         def recording(budget, memo):
             meters.append(Meter(budget, memo))
             return meters[-1]
+
+        def sup(ctx, n, alpha, lam, depth, real=synthesis._sup):
+            sups.append((ctx.memo, n, lam))
+            return real(ctx, n, alpha, lam, depth)
 
         def run(memo):
             outcomes = []
@@ -611,11 +724,17 @@ class TestDomainAndMemo:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(synthesis, "Meter", recording)
+            patch.setattr(synthesis, "_sup", sup)
             memo, plain = Memo(), {}
             assert run(memo) == run(plain)
         assert memo == plain
+        assert all(meter.shared for meter in meters)
         assert all(meter.points is memo.points for meter in meters[:len(calls)])
         assert all(meter.points is None for meter in meters[len(calls):])
+        assert set(memo.points) == {
+            lam for on, n, lam in sups
+            if on is memo and (n > 3 or not is_successor(lam.terms[0][0]))
+        }
         for lam, points in memo.points.items():
             assert points == (ZERO, ONE, *fundamental_prefix(lam, budget.sup_samples))
 
