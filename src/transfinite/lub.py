@@ -30,13 +30,10 @@ interned exponents and leading terms are told apart by identity, so it
 makes no order comparison of values; only the answer is built.
 sample_and_infer's in-flight tower check reads the heights of the last
 four samples as each arrives.
-Sample points come from a 256-entry LRU shared across evaluations; it
-holds each interned limit it keys on, so no key goes stale.  An
-evaluation on a synthesis.Memo keeps its points in the memo's own table
-as well, filled from the LRU on a miss, so a run of calls that shares
-the memo builds each limit's points once and they die with the memo.
-A caller may pass the points themselves, a tuple, in place of the
-limit; neither table nor LRU sees them.  synthesis._sup's chained route
+Sample points come from _points, a 256-entry LRU shared across
+evaluations; it holds each interned limit it keys on, so no key goes
+stale.  A caller may pass the points themselves, a tuple, in place of
+the limit; the LRU does not see them.  synthesis._sup's chained route
 does, handing the positions of the samples it reads from a chain in
 place of those points, so they are never built.
 
@@ -199,13 +196,11 @@ def sample_and_infer(
 
     Samples eval_at(0), eval_at(1), then eval_at(lam[k]) for
     k < meter.budget.sup_samples, with eval_at counting its work on
-    meter.  The points come unmetered from meter.points, the point table
-    of the meter's Memo, keyed by lam alone since a memo is shared under
-    one budget; on a miss, or with no table, they come from _points, a
-    256-entry LRU shared across evaluations.  lam may instead be the
-    tuple of what to hand eval_at, in order, taken as it is:
-    synthesis._sup's chained route passes the seeds 0, 1, lam[0] and
-    lam[1], then positions that its eval_at reads in place of points.
+    meter.  The points come unmetered from _points, a 256-entry LRU
+    shared across evaluations.  lam may instead be the tuple of what to
+    hand eval_at, in order, taken as it is: synthesis._sup's chained
+    route passes the seeds 0, 1, lam[0] and lam[1], then positions that
+    its eval_at reads in place of points.
     Once the two seed probes have at least four fundamental-sequence
     values behind them, a check runs after each new sample that only
     acts when it proves the sup escapes epsilon_0, cutting off ever
@@ -229,15 +224,7 @@ def sample_and_infer(
     run is settled inside the handler that caught the refusal, so no
     frame keeps the refusal, whose traceback holds eval_at and its memo.
     """
-    table = meter.points
-    if type(lam) is tuple:
-        points = lam
-    elif table is None:
-        points = _points(lam, meter.budget.sup_samples)
-    else:
-        points = table.get(lam)
-        if points is None:
-            points = table[lam] = _points(lam, meter.budget.sup_samples)
+    points = lam if type(lam) is tuple else _points(lam, meter.budget.sup_samples)
     samples = []
     for g in points:
         work = meter.work

@@ -28,12 +28,11 @@ the scan left unsettled, so it is 0 whenever the search decides.
 A refutation's value is the one synth left in the memo, at
 memo[i, alpha][beta]; it is None when not representable.
 
-The shared memo is a synthesis.Memo, so the sample points of each limit
-sampled at real points, one with a limit exponent, are built once per
-report and die with the memo.  Most of a report's suprema are chained
-(see synthesis._sup) and take no points: each of their samples w^g*k is
-looked up in the shared memo, which holds it only where a probe of
-w^g*k stored it, and otherwise read from the chain.
+The shared memo is a plain dict.  Most of a report's suprema are
+chained (see synthesis._sup) and take no sample points: each of their
+samples w^g*k is looked up in the shared memo, which holds it only where
+a probe of w^g*k stored it, and otherwise read from the chain.  The
+other suprema take their points from lub's 256-entry LRU.
 
 The reports pair the confirmed infinite mains, in order, against the
 ladder values synth(i+1, w, w^rank), rank = 0, 1, 2, ...  Ranks are
@@ -64,7 +63,7 @@ from .errors import BudgetExceeded, NotRepresentable, OrdinalDomainError
 from .ordinal import (
     OMEGA, ZERO, Ordinal, check_natural, from_natural, omega_power, order_key,
 )
-from .synthesis import Memo, synth
+from .synthesis import synth
 
 __all__ = [
     "candidate_lattice",
@@ -161,7 +160,7 @@ def is_main_number(
         if not isinstance(delta, Ordinal) or delta.is_zero:
             raise OrdinalDomainError(f"candidate must be an Ordinal > 0, got {delta!r}")
         entries = candidate_lattice(*_spec(lattice_spec))
-        return _classify(i, delta, entries, budget, Memo())
+        return _classify(i, delta, entries, budget, {})
 
 
 def _spec(lattice_spec) -> Tuple[int, int, int]:
@@ -193,7 +192,7 @@ def _classify(
     delta: Ordinal,
     entries: Sequence[Ordinal],
     budget: Optional[EvalBudget],
-    memo: Memo,
+    memo: dict,
     hint: Optional[Ordinal] = None,
 ) -> MainVerdict:
     top = order_key(delta)
@@ -378,7 +377,7 @@ def enumerate_main_numbers(
         entries = candidate_lattice(*spec, bound=bound)
         candidates = [x for x in entries if not x.is_zero]
 
-        memo = Memo()
+        memo = {}
         verdicts: List[MainVerdict] = []
         hint = None
         for delta in candidates:

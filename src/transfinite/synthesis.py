@@ -51,24 +51,6 @@ __all__ = [
 ]
 
 
-class Memo(dict):
-    """A memo to share across synth calls made with one budget.
-
-    Its items are the tables memo[n, alpha][beta], naive_ext's at level
-    -n; _eval and _naive are their only writers.  points, not an item,
-    maps each limit sampled at real points to those points; the
-    one-budget rule covers it too, so it is keyed by the limit alone.  A
-    chained supremum (see _sup) takes no points, so its limit is not
-    there.  A plain dict works as a memo, taking its points from lub's
-    process-wide LRU; a Memo's points live and die with it.
-    """
-
-    __slots__ = ("points",)
-
-    def __init__(self):
-        self.points = {}
-
-
 # op(*args) for _sup's chains and _combine_run's closed powers, kept across
 # evaluations in a 256-entry LRU like lub._points.  Unmetered: callers charge
 # the steps a hit skips, so a hit moves no answer, refusal or count.
@@ -104,14 +86,12 @@ def synth(
 
     A caller may pass a shared ``memo`` dict to reuse sub-results across
     calls; only share one between calls made with the same budget.  It
-    holds one table per (level, alpha): the value of synth(n, alpha,
-    beta) is at memo[n, alpha][beta], as is each value the call evaluated
-    on the way.  The samples w^g*k (k >= 2) of a supremum at levels 2
+    holds one table per (level, alpha), written only by _eval: the value
+    of synth(n, alpha, beta) is at memo[n, alpha][beta], as is each value
+    the call evaluated on the way.  The samples w^g*k (k >= 2) of a supremum at levels 2
     and 3 are built along a chain instead, and the memo does not keep
     them; the chain looks each one up in a memo passed in, so a w^g*k
-    the caller evaluated before is a free hit.  A Memo also keeps the
-    sample points of every other limit its calls sample, so each limit's
-    are built once per memo, not on every miss of lub's 256-entry LRU.
+    the caller evaluated before is a free hit.
     """
     # One test on the common path; _check_args raises the error, if any.
     if not (type(n) is int and n > 0 and type(alpha) is Ordinal and type(beta) is Ordinal):

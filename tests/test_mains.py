@@ -29,7 +29,7 @@ from transfinite.mains import (
 from transfinite.ordinal import (
     ONE, ZERO, Ordinal, fundamental_prefix, is_additive_principal, is_successor,
 )
-from transfinite.synthesis import Memo, synth
+from transfinite.synthesis import synth
 
 B = EvalBudget()
 W2 = pow_(W, nat(2), B)
@@ -348,14 +348,15 @@ class TestCollectorPause:
 
 
 class TestPointTable:
-    """A report's memo is a Memo, whose point table keeps the sample points
-    of every limit the report samples at real points: built once each,
-    through lub._points.  A chained supremum (levels 2 and 3 at
-    lam = w^(g+1)) hands sample_and_infer synthesis._chain_points(lam, n)
-    instead, its seeds 0, 1, 0, w^g and then positions, so its limit
-    stays out of the table."""
+    """A report's memo is a plain dict, and every supremum it samples at
+    real points takes them from lub._points, the one 256-entry LRU of
+    sample points.  A chained supremum (levels 2 and 3 at lam = w^(g+1))
+    hands sample_and_infer synthesis._chain_points(lam, n) instead, its
+    seeds 0, 1, 0, w^g and then positions, so lub._points never sees its
+    limit."""
 
     DEEP = pow_(W, pow_(W, nat(3), B), B)
+    CACHES = (lub._points, lub._infer_increasing, synthesis._shared, synthesis._chain_points)
 
     @classmethod
     def _report(cls, monkeypatch, budget):
@@ -370,17 +371,25 @@ class TestPointTable:
         enumerate_main_numbers(2, cls.DEEP, budget=budget)
         return memos[0]
 
-    @pytest.mark.parametrize("samples, limits", [(8, 40), (16, 80)])
-    def test_one_entry_per_distinct_limit(self, monkeypatch, samples, limits):
-        sampled, handed, built, seeded = [], [], [], []
+    @pytest.mark.parametrize("samples, limits, hits", [
+        pytest.param(8, 40, 121, id="8-40"),
+        pytest.param(16, 80, 231, id="16-80"),
+    ])
+    def test_one_entry_per_distinct_limit(self, monkeypatch, samples, limits, hits):
+        # The LRU builds each limit's points once: one miss per distinct
+        # limit, every other lookup a hit.
+        handed, built, seeded = [], [], []
+        cache = lub._points
+        cache.cache_clear()
 
         def sampling(eval_at, lam, meter, real=lub.sample_and_infer):
-            (handed if type(lam) is tuple else sampled).append(lam)
+            if type(lam) is tuple:
+                handed.append(lam)
             return real(eval_at, lam, meter)
 
-        def points(lam, n, real=lub._points):
+        def points(lam, n):
             built.append(lam)
-            return real(lam, n)
+            return cache(lam, n)
 
         def seeds(lam, n, real=synthesis._chain_points):
             seeded.append((lam, n))
@@ -389,49 +398,43 @@ class TestPointTable:
         monkeypatch.setattr(synthesis, "sample_and_infer", sampling)
         monkeypatch.setattr(lub, "_points", points)
         monkeypatch.setattr(synthesis, "_chain_points", seeds)
-        memo = self._report(monkeypatch, EvalBudget(sup_samples=samples))
-        assert type(memo) is Memo
-        assert len(memo.points) == limits and set(memo.points) == set(sampled)
-        # lub._points sees one lookup per limit: the table's one miss.
-        assert len(built) == limits and set(built) == set(memo.points)
-        for lam, table_points in memo.points.items():
-            assert table_points == (ZERO, ONE, *fundamental_prefix(lam, samples))
-        # Every other supremum is chained, and no chained limit is in the
-        # table: the report's levels are 2 and 3, where a limit is chained
-        # exactly when its exponent is a successor.
-        assert all(not is_successor(lam.terms[0][0]) for lam in memo.points)
-        assert len(seeded) == len(handed) > len(sampled)
+        assert type(self._report(monkeypatch, EvalBudget(sup_samples=samples))) is dict
+        info = cache.cache_info()
+        assert (info.hits, info.misses) == (hits, limits) == (len(built) - limits, len(set(built)))
+        # Every other supremum is chained: the report's levels are 2 and 3,
+        # where a limit is chained exactly when its exponent is a successor.
+        assert all(not is_successor(lam.terms[0][0]) for lam in built)
+        assert len(seeded) == len(handed) > len(built)
         for (lam, n), points in zip(seeded, handed):
-            assert n == samples and is_successor(lam.terms[0][0]) and lam not in memo.points
+            assert n == samples and is_successor(lam.terms[0][0])
             assert points == (ZERO, ONE, *fundamental_prefix(lam, 2), *range(2, samples))
 
     def test_the_points_die_with_the_memo(self, monkeypatch):
         # With the collector off throughout, reference counting frees every
-        # point the report made once the memo and the process-wide caches
-        # let go of it, and the report leaves no cyclic garbage.  Values
-        # alive before the report, the lattice among them, are left out;
-        # the process-wide caches are emptied first, so what earlier calls
-        # left in them is not counted as alive before.
+        # value the report built once its memo is dropped and the
+        # process-wide caches are emptied, and the report leaves no cyclic
+        # garbage.  Values alive before the report, the lattice among them,
+        # are left out; the caches are emptied first too, so what earlier
+        # calls left in them is not counted as alive before.
         candidate_lattice()
-        for cache in (lub._points, lub._infer_increasing, synthesis._shared,
-                      synthesis._chain_points):
+        for cache in self.CACHES:
             cache.cache_clear()
         gc.collect()
         gc.disable()
         try:
             before = set(ordinal._TABLE)
-            # At 16 samples the table keeps 80 limits' 18 points each.
             memo = self._report(monkeypatch, EvalBudget(sup_samples=16))
-            held = {x for lam, table_points in memo.points.items()
-                    for x in (lam, *table_points) if x.terms not in before}
+            assert type(memo) is dict
+            held = {x for (_, alpha), table in memo.items()
+                    for x in (alpha, *table, *table.values()) if x.terms not in before}
             refs = [weakref.ref(x) for x in held]
             assert len(refs) > 1000
-            del memo, held, before
+            del memo, held
             monkeypatch.undo()
-            for cache in (lub._points, lub._infer_increasing, synthesis._shared,
-                      synthesis._chain_points):
+            for cache in self.CACHES:
                 cache.cache_clear()
             assert all(ref() is None for ref in refs)
+            assert set(ordinal._TABLE) <= before
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -698,7 +701,7 @@ class TestSearch:
             2, pow_(W, pow_(W, nat(3), B), B), budget=EvalBudget(sup_samples=16))
         assert report.pairs_skipped == 0
         assert len(memos) == 566
-        assert type(memos[0]) is Memo
+        assert type(memos[0]) is dict
         assert sum(map(len, memos[0].values())) == 4908
 
     def test_a_warm_memo_never_changes_a_value(self):
@@ -780,8 +783,7 @@ class TestReportBytes:
 def test_shared_memo_holds_one_table_per_level_and_alpha(monkeypatch):
     # The report's shared memo maps (level, alpha) to a table keyed by
     # beta; its counts are those of the flat (level, alpha, beta) layout.
-    # It is a Memo, whose point table is not among its items and keeps
-    # only the limits sampled at real points.
+    # It is a plain dict.
     memos = []
 
     def recording(i, alpha, beta, budget, memo):
@@ -792,7 +794,7 @@ def test_shared_memo_holds_one_table_per_level_and_alpha(monkeypatch):
     enumerate_main_numbers(2, pow_(W, pow_(W, nat(3), B), B))
     memo = memos[0]
     assert all(m is memo for m in memos)
-    assert type(memo) is Memo and len(memo.points) == 40
+    assert type(memo) is dict
     assert len(memo) == 18
     assert sum(map(len, memo.values())) == 1376
     for key, table in memo.items():

@@ -27,12 +27,9 @@ from transfinite.hyper import hyper
 from transfinite.lub import sample_and_infer
 from transfinite.mains import enumerate_main_numbers
 from transfinite.notation import eval_expr, parse
-from transfinite.ordinal import (
-    ONE, ZERO, from_natural, fundamental_prefix, is_successor, omega_power, successor,
-)
+from transfinite.ordinal import ONE, ZERO, from_natural, omega_power, successor
 from transfinite.synthesis import (
     DistributionCheck,
-    Memo,
     _eval,
     distributes,
     naive_ext,
@@ -281,9 +278,8 @@ class TestChainedSamples:
         (2, "w+1", "w^2", "w*3", 18, 3),
         (3, "w+2", "w^3", "w^2*5", 11, 2),
     ])
-    @pytest.mark.parametrize("make_memo", [Memo, dict], ids=["Memo", "dict"])
     def test_a_sample_the_caller_evaluated_is_a_free_hit(
-        self, monkeypatch, make_memo, n, alpha, beta, point, work, saved
+        self, monkeypatch, n, alpha, beta, point, work, saved
     ):
         # The caller evaluates the sample w^g*k first, on the memo it then
         # shares: the chain finds it, free, as the plain route does.  With
@@ -293,7 +289,7 @@ class TestChainedSamples:
         alpha, beta, point = value(alpha), value(beta), value(point)
         outcomes = []
         for route in ("chained", "plain", "blind"):
-            memo = make_memo()
+            memo = {}
             synth(n, alpha, point, B, memo=memo)
             with monkeypatch.context() as patch:
                 if route == "chained":
@@ -323,7 +319,7 @@ class TestChainedSamples:
         assert (info.maxsize, info.currsize) == (256, 12)
 
     def test_the_deep_report_hits_111_of_its_chained_lookups(self, monkeypatch):
-        # The index-2 report below w^(w^3) shares one Memo: 6,030 chained
+        # The index-2 report below w^(w^3) shares one memo: 6,030 chained
         # samples are looked up there, and 111 found, each charged nothing.
         lookups = _ChainLookups(monkeypatch)
         enumerate_main_numbers(2, pow_(W, pow_(W, nat(3), B), B), budget=B)
@@ -691,52 +687,6 @@ class TestDomainAndMemo:
         assert first == again == W2
         # The memo must have been consulted, not just written.
         assert add(W, ONE) in memo[4, nat(2)]
-
-    @given(
-        st.builds(EvalBudget, st.integers(2, 24), st.integers(4, 256), st.integers(3, 10)),
-        st.lists(st.tuples(st.integers(1, 5), ordinals(2), ordinals(2)), min_size=1, max_size=8),
-    )
-    def test_a_memo_matches_a_plain_dict(self, budget, calls):
-        # One run of calls on a shared Memo and one on a shared plain dict,
-        # under one budget: the Memo's point table moves no value, refusal,
-        # work step or memo entry, and holds the points of exactly the
-        # limits sampled at real points: those of levels 4 and up and of
-        # limit exponents.  A chained supremum takes no points from it.
-        meters, sups = [], []
-
-        def recording(budget, memo):
-            meters.append(Meter(budget, memo))
-            return meters[-1]
-
-        def sup(ctx, n, alpha, lam, depth, real=synthesis._sup):
-            sups.append((ctx.memo, n, lam))
-            return real(ctx, n, alpha, lam, depth)
-
-        def run(memo):
-            outcomes = []
-            for n, alpha, beta in calls:
-                try:
-                    value = synth(n, alpha, beta, budget, memo=memo)
-                except (BudgetExceeded, NotRepresentable) as err:
-                    value = type(err), str(err)
-                outcomes.append((value, meters[-1].work))
-            return outcomes
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(synthesis, "Meter", recording)
-            patch.setattr(synthesis, "_sup", sup)
-            memo, plain = Memo(), {}
-            assert run(memo) == run(plain)
-        assert memo == plain
-        assert all(meter.shared for meter in meters)
-        assert all(meter.points is memo.points for meter in meters[:len(calls)])
-        assert all(meter.points is None for meter in meters[len(calls):])
-        assert set(memo.points) == {
-            lam for on, n, lam in sups
-            if on is memo and (n > 3 or not is_successor(lam.terms[0][0]))
-        }
-        for lam, points in memo.points.items():
-            assert points == (ZERO, ONE, *fundamental_prefix(lam, budget.sup_samples))
 
     def test_identity_steps(self):
         for n in (2, 3, 4, 7):
