@@ -8,10 +8,18 @@ Convention for a zero base: 0^0 = 1, 0^b = 0 for successor b, and
 0^b = 1 for limit b.  The limit case follows from taking suprema of the
 successor case values together with 0^0; it is deliberately kept that way
 here and mirrored by the definitional evaluator.
+
+Finite powers x^m of a base that is not additive principal, with m < 16,
+are shared across `pow_` calls in a 16-entry LRU keyed by (x, m); larger
+exponents are squared out afresh.  A cached power has at most 15 times the
+terms of its base, and it keeps that base and itself alive until evicted.
+The `max_bits` refusal runs before the lookup, so a hit changes no answer
+or refusal.  The cache has no setting.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from .budget import DEFAULT_BUDGET, EvalBudget
@@ -80,7 +88,7 @@ def pow_(x: Ordinal, y: Ordinal, budget: Optional[EvalBudget] = None) -> Ordinal
         if is_limit(y):
             return ONE
         return ZERO
-    if x == ONE:
+    if x is ONE:
         return ONE
     lam, m = limit_and_finite_parts(y)
     if x.is_natural:
@@ -121,6 +129,13 @@ def _pow_finite(x: Ordinal, m: Natural, budget: EvalBudget) -> Ordinal:
     if m > budget.max_bits:
         # A non-principal base yields on the order of m terms.
         raise BudgetExceeded(f"finite power {m} is too large to expand")
+    if m < 16:
+        return _small_power(x, m)
+    return _square_and_multiply(x, m)
+
+
+def _square_and_multiply(x: Ordinal, m: Natural) -> Ordinal:
+    # x ** m for m >= 1.
     result = None
     base = x
     while True:
@@ -130,3 +145,8 @@ def _pow_finite(x: Ordinal, m: Natural, budget: EvalBudget) -> Ordinal:
         if not m:
             return result
         base = mul(base, base)
+
+
+# The small-power cache of the module docstring: pow_(x, w*k + j) takes
+# x^j for every k.
+_small_power = functools.lru_cache(maxsize=16)(_square_and_multiply)

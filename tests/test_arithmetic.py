@@ -1,7 +1,10 @@
 """Closed-form arithmetic against fixed vectors, algebraic laws, and the
 definitional evaluator as an independent route."""
+import contextlib
 import gc
+import io
 import random
+import weakref
 
 import pytest
 from hypothesis import given
@@ -9,10 +12,15 @@ from hypothesis import strategies as st
 
 from conftest import ordinals
 from support import W, nat, pair_corpus_below_w_w2, rand_below_w_w
+from transfinite import arithmetic
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget
+from transfinite.cli import main
 from transfinite.errors import BudgetExceeded, OrdinalDomainError
-from transfinite.ordinal import ONE, ZERO, from_natural, is_limit, omega_power, successor
+from transfinite.notation import eval_expr, parse
+from transfinite.ordinal import (
+    ONE, ZERO, from_natural, is_additive_principal, is_limit, omega_power, successor,
+)
 from transfinite.reference import reference_check, reference_eval
 
 
@@ -128,6 +136,74 @@ class TestPow:
         with pytest.raises(BudgetExceeded):
             pow_(nat(2), nat(20000))
         assert pow_(nat(2), nat(20000), EvalBudget(max_bits=30000)) == nat(2 ** 20000)
+
+
+class TestSmallPowerCache:
+    """Finite powers x^m of a non-principal x with m < 16 are shared."""
+
+    cache = arithmetic._small_power
+
+    @staticmethod
+    def _folded(x, m):
+        # x * x * ... * x, m factors, with no cache and no squaring.
+        out = ONE
+        for _ in range(m):
+            out = mul(out, x)
+        return out
+
+    def test_cached_powers_equal_uncached_ones(self):
+        rng = random.Random(44)
+        bases = [x for x in (rand_below_w_w(rng) for _ in range(200))
+                 if not x.is_natural and not is_additive_principal(x)][:20]
+        assert len(bases) == 20
+        for x in bases:
+            expected = [self._folded(x, m) for m in range(21)]
+            self.cache.cache_clear()
+            for warmth in ("cold", "warm"):
+                for m, value in enumerate(expected):
+                    assert pow_(x, nat(m)) is value, (warmth, x, m)
+            # m = 1..15 miss once each, then hit.
+            info = self.cache.cache_info()
+            assert (info.hits, info.misses) == (15, 15)
+
+    def test_a_warm_cache_still_refuses(self):
+        x = add(W, ONE)
+        pow_(x, nat(7))
+        with pytest.raises(BudgetExceeded, match="finite power 7 is too large to expand"):
+            pow_(x, nat(7), EvalBudget(max_bits=4))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["eval", "(w+1)^7"]) == 0
+        assert out.getvalue().startswith("w^7 + ")
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["eval", "--max-bits", "4", "(w+1)^7"]) == 3
+
+    def test_reference_check_reuses_the_leaf_powers(self):
+        # Each leaf pow_(x, w*(k-1) + j) takes x^j; seven k share six j.
+        e = lambda text: eval_expr(parse(text))
+        self.cache.cache_clear()
+        assert reference_check("pow", e("w^(w*2 + 1)*2 + w^(w*2)*2"), e("w^2*3"))
+        info = self.cache.cache_info()
+        assert (info.hits, info.misses) == (42, 7)
+
+    def test_large_exponents_bypass_the_cache(self):
+        size = self.cache.cache_info().currsize
+        power = pow_(add(W, ONE), nat(16384))
+        assert len(power.terms) == 16385
+        assert self.cache.cache_info().currsize == size
+
+    def test_a_cached_power_dies_on_clear(self):
+        x = add(omega_power(nat(3)), nat(982451653))
+        gc.collect()
+        gc.disable()
+        try:
+            power = pow_(x, nat(3))
+            ref = weakref.ref(power)
+            del power
+            assert ref() is not None
+            self.cache.cache_clear()
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestReferenceRoute:

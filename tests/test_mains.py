@@ -17,7 +17,7 @@ from support import W, nat
 
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.budget import EvalBudget
-from transfinite import cli, lub, mains, ordinal, synthesis
+from transfinite import arithmetic, cli, lub, mains, ordinal, synthesis
 from transfinite.errors import BudgetExceeded, NotRepresentable, OrdinalDomainError
 from transfinite.mains import (
     DEFAULT_LATTICE_SPEC,
@@ -356,7 +356,8 @@ class TestPointTable:
     limit."""
 
     DEEP = pow_(W, pow_(W, nat(3), B), B)
-    CACHES = (lub._points, lub._infer_increasing, synthesis._shared, synthesis._chain_points)
+    CACHES = (lub._points, lub._infer_increasing, synthesis._shared, synthesis._chain_points,
+              arithmetic._small_power)
 
     @classmethod
     def _report(cls, monkeypatch, budget):

@@ -16,7 +16,7 @@ from support import (
     W, coefficient_bits, nat, pair_corpus_below_w_w2, reference_compare,
     repeated_term_count, tree_corpus, w_times_plus,
 )
-from transfinite import lub, synthesis
+from transfinite import arithmetic, lub, synthesis
 from transfinite.arithmetic import add, mul, pow_
 from transfinite.errors import BudgetExceeded, OrdinalDomainError
 from transfinite.mains import candidate_lattice
@@ -132,14 +132,15 @@ class TestInterning:
         # Distinct summands keep the values apart from those other tests
         # hold; the memos keep every intermediate alive until the end.  The
         # sample-point cache, lub's rule-search cache, synthesis's shared
-        # closed forms and its chain points hold values on purpose, so they
-        # are emptied first.
+        # closed forms and its chain points, and arithmetic's small finite
+        # powers hold values on purpose, so they are emptied first.
         pairs = [(add(a, nat(1000 + i)), add(b, nat(5)))
                  for i, (a, b) in enumerate(pair_corpus_below_w_w2(100, seed=11))]
         lub._points.cache_clear()
         lub._infer_increasing.cache_clear()
         synthesis._shared.cache_clear()
         synthesis._chain_points.cache_clear()
+        arithmetic._small_power.cache_clear()
         gc.collect()
         baseline = len(_TABLE)
         memos = []
@@ -153,6 +154,7 @@ class TestInterning:
         lub._infer_increasing.cache_clear()
         synthesis._shared.cache_clear()
         synthesis._chain_points.cache_clear()
+        arithmetic._small_power.cache_clear()
         gc.collect()
         assert len(_TABLE) == baseline
 
